@@ -8,12 +8,13 @@ G0.  The returned group indices follow the paper's convention:
 * index 0  — the fall-back group G0 (``<*,*,...>``),
 * index i>0 — the group anchored at ``centroids[i - 1]``.
 
-Two implementations share one head (packing + the OD matrix):
+Two implementations:
 
-* :meth:`GroupAssigner.assign` — the fully-array path: per-row argmin
-  over the WD matrix masked to the OD-tied centroids, vectorised
-  multiplicity counts, and **one** batched RNG draw for the residual
-  WD ties of the whole batch;
+* :meth:`GroupAssigner.assign` — the fully-array path: OD intersections
+  summed from ``m`` row gathers of an ``(r, k)`` 0/1 pivot-in-centroid
+  table, WD evaluated only at the OD-tied (row, centroid) pairs,
+  vectorised multiplicity counts, and **one** batched RNG draw for the
+  residual WD ties of the whole batch;
 * :meth:`GroupAssigner.assign_reference` — the retained seed loop
   (per-row ``flatnonzero`` + ``rng.choice``), kept as the parity oracle
   for ``tests/test_conversion_parity.py`` and the conversion benchmark.
@@ -55,15 +56,6 @@ from repro.pivots import (
 )
 
 __all__ = ["GroupAssigner", "AssignmentResult", "PendingTies"]
-
-_OD_TILE_BYTES = 1 << 18
-"""Byte target for the OD sweep's uint64 AND workspace tile.  The sweep is
-memory-bound: at large row blocks the full ``(d, k)`` uint64 buffer spills
-every cache level and each popcount pass re-streams it from DRAM.  Tiling
-rows so one tile's AND buffer stays ~256 KB keeps the word loop resident
-in L2; the arithmetic is exact integer work, so tiling cannot change a
-single bit of the result (the kernel-parity suite checks anyway)."""
-
 
 @dataclass(frozen=True)
 class AssignmentResult:
@@ -148,6 +140,12 @@ class GroupAssigner:
         # exact per-element terms of weight_distance_matrix (same shared
         # unpacking — the bit-parity guarantee depends on it).
         self._membership = centroid_membership(self._packed_centroids, n_pivots)
+        # The same table as small integers, for the OD intersection
+        # gathers: intersections are bounded by m, so uint8 holds them for
+        # any realistic prefix length.
+        self._overlap_table = self._membership.astype(
+            np.uint8 if prefix_length < 256 else np.uint16
+        )
         # Reusable workspace of the OD stage, one buffer per role, held
         # per *thread*: the streamed conversion calls assign with one
         # fixed block size, so each worker allocates (and page-faults) its
@@ -194,51 +192,28 @@ class GroupAssigner:
             raise ConfigurationError(
                 f"expected (d, {self.prefix_length}) ranked signatures"
             )
-        m = self.prefix_length
         d = ranked.shape[0]
-        k = self._packed_centroids.shape[0]
-        # The bitset encoding is order-free, so the ranked rows pack
-        # directly — no rank_insensitive sort pass needed.
-        packed = pack_pivot_sets(ranked, self.n_pivots)
-
-        # Pivot-set intersection sizes, accumulated word by word into the
-        # reusable workspace (same arithmetic as overlap_distance_matrix;
-        # OD = m - intersection, so comparisons below run on intersections
-        # directly with flipped signs).  The sweep runs in row *tiles*
-        # sized so the uint64 AND buffer stays L2-resident: one full-block
-        # buffer re-streams from DRAM on every popcount pass, which made
-        # this stage memory-bound at large d.  Exact integer work — the
-        # tiling is invisible in the results.
-        cents = self._packed_centroids
-        tile = max(32, _OD_TILE_BYTES // max(1, k * 8))
-        tile = min(tile, d) if d else 0
-        and_buf = self._buffer("and", (tile, k), np.uint64)
-        # Intersections are bounded by m (each signature sets m bits), so
-        # uint8 accumulation is safe for any realistic prefix length.
-        inter = self._buffer(
-            "inter", (d, k), np.uint8 if m < 256 else np.uint16
-        )
-        cnt_buf = (
-            self._buffer("cnt", (tile, k), np.uint8)
-            if cents.shape[1] > 1 else None
-        )
-        for start in range(0, d, tile or 1):
-            end = min(d, start + tile)
-            rows_and = and_buf[: end - start]
-            rows_inter = inter[start:end]
-            np.bitwise_and(
-                packed[start:end, 0][:, None], cents[:, 0][None, :],
-                out=rows_and,
+        if d and (ranked.min() < 0 or ranked.max() >= self.n_pivots):
+            raise ConfigurationError(
+                f"pivot id out of range [0, {self.n_pivots}) in signature matrix"
             )
-            np.bitwise_count(rows_and, out=rows_inter)
-            for word in range(1, cents.shape[1]):
-                rows_cnt = cnt_buf[: end - start]
-                np.bitwise_and(
-                    packed[start:end, word][:, None], cents[:, word][None, :],
-                    out=rows_and,
-                )
-                np.bitwise_count(rows_and, out=rows_cnt)
-                rows_inter += rows_cnt
+        ids = np.sort(ranked, axis=1)
+        if np.any(ids[:, 1:] == ids[:, :-1]):
+            raise ConfigurationError("signature repeats a pivot id")
+
+        # Pivot-set intersection sizes (OD = m - intersection, so the
+        # comparisons below run on intersections with flipped signs): one
+        # (d, k) row gather from the (r, k) 0/1 table per rank.  Ids are
+        # unique per row and in range (checked above), so the sum counts
+        # each shared pivot once and mode="clip" never clips.
+        table = self._overlap_table
+        k = table.shape[1]
+        inter = self._buffer("inter", (d, k), table.dtype)
+        np.take(table, ranked[:, 0], axis=0, out=inter, mode="clip")
+        row = self._buffer("gather", (d, k), table.dtype)
+        for rank in range(1, self.prefix_length):
+            np.take(table, ranked[:, rank], axis=0, out=row, mode="clip")
+            np.add(inter, row, out=inter)
 
         best_inter = np.max(inter, axis=1)
         out = np.zeros(d, dtype=np.int64)

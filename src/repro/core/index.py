@@ -567,7 +567,9 @@ class ClimberIndex:
         Starting from the primary GN, add memorised runner-up nodes (other
         best-OD groups' GNs first, then ancestors, deepest first) until the
         estimated record count covers k, keeping the partition budget at
-        ``factor`` times CLIMBER-kNN's partition count.
+        ``factor`` times CLIMBER-kNN's partition count.  The estimate
+        alone does not stop the expansion while the planned partitions
+        store fewer than ``min(k, n)`` records (DFS metadata).
         """
         budget = factor * max(1, len(primary.gn.partition_ids))
         selected: list[tuple[GroupEntry, TrieNode]] = [(primary.entry, primary.gn)]
@@ -582,8 +584,12 @@ class ClimberIndex:
                 pool.append((cand.od, cand.wd, -node.depth, cand, node))
         pool.sort(key=lambda item: (item[0], item[1], item[2], item[3].entry.group_id))
 
+        # The counts are sample estimates: a plan whose partitions really
+        # store fewer than min(k, n) records would come up short, so such
+        # a plan keeps widening, in the same order and within the budget.
+        want = min(k, self.n_records)
         for _, _, _, cand, node in pool:
-            if total >= k:
+            if total >= k and self._reachable_records(selected) >= want:
                 break
             if self._covered(selected, cand.entry, node):
                 continue
@@ -610,6 +616,28 @@ class ClimberIndex:
             selected_pids = new_pids
             total += max(0.0, added)
         return selected
+
+    def _reachable_records(
+        self, selected: list[tuple[GroupEntry, TrieNode]]
+    ) -> int:
+        """Stored records in the partitions a plan of ``selected`` reads.
+
+        The within-partition expansion can reach every record of those
+        partitions (deltas included), so this bounds the answer size.
+        Counted from DFS metadata; no payload is read.
+        """
+        names: set[str] = set()
+        for entry, node in selected:
+            names.update(partition_name(pid) for pid in node.partition_ids)
+            if not node.is_leaf or node.depth == 0:
+                names.add(partition_name(entry.default_partition))
+        dfs = self.dfs
+        total = 0
+        for name in names:
+            if dfs.has_partition(name):
+                total += dfs.record_count(name)
+            total += sum(dfs.record_count(d) for d in self._delta_names(name))
+        return total
 
     @staticmethod
     def _covered(
@@ -641,8 +669,10 @@ class ClimberIndex:
             return [(c.entry, c.entry.trie) for c in candidates]
         if variant == "adaptive":
             factor = adaptive_factor or self.config.adaptive_factor
-            if primary.gn.count >= k:
-                return [(primary.entry, primary.gn)]
+            selected = [(primary.entry, primary.gn)]
+            if (primary.gn.count >= k and self._reachable_records(selected)
+                    >= min(k, self.n_records)):
+                return selected
             return self._expand_adaptive(primary, candidates, k, factor)
         return [(primary.entry, primary.gn)]
 
@@ -699,12 +729,13 @@ class ClimberIndex:
             keys.append(ft.default_key)
         return keys
 
-    def _partition_scan_cost(self, part) -> TaskCost:
+    def _partition_scan_cost(self, part, nbytes: int) -> TaskCost:
         """Declared cost of loading + ED-scanning one partition at paper scale.
 
-        With ``sim_partition_bytes`` set, a touched partition is one storage
-        block (the paper's query granularity); otherwise the scaled bytes
-        are multiplied by ``cost_scale``.
+        ``nbytes`` is the partition's logical size as the DFS registered
+        it.  With ``sim_partition_bytes`` set, a touched partition is one
+        storage block (the paper's query granularity); otherwise the
+        scaled bytes are multiplied by ``cost_scale``.
         """
         cfg = self.config
         if cfg.sim_partition_bytes is not None:
@@ -716,7 +747,7 @@ class ClimberIndex:
                 cpu_ops=block_records * ops_euclidean(part.series_length),
             )
         return TaskCost(
-            read_bytes=int(part.nbytes * cfg.cost_scale),
+            read_bytes=int(nbytes * cfg.cost_scale),
             cpu_ops=int(
                 part.record_count * ops_euclidean(part.series_length) * cfg.cost_scale
             ),
@@ -1040,7 +1071,10 @@ class ClimberIndex:
                     failed.append(actual)
                     continue
                 loaded.append(actual)
-                data_bytes += part.nbytes
+                # The logical size the DFS registered at write/attach time:
+                # the handle would re-encode its header to recompute it.
+                nbytes = self.dfs.partition_nbytes(actual)
+                data_bytes += nbytes
                 if cid is not None:
                     ids_parts.append(cid)
                     val_parts.append(cval)
@@ -1050,10 +1084,11 @@ class ClimberIndex:
                 other_keys = [
                     key for key in part.cluster_keys() if key not in wanted
                 ]
-                cost = self._partition_scan_cost(part)
+                cost = self._partition_scan_cost(part, nbytes)
                 if other_keys:
                     fallback_pool.append(
-                        (actual, part, other_keys, cost, cid is not None)
+                        (actual, nbytes, part, other_keys, cost,
+                         cid is not None)
                     )
                 scan_costs.append(cost)
 
@@ -1061,7 +1096,8 @@ class ClimberIndex:
         expanded = False
         if n_targeted < k and fallback_pool:
             expanded = True
-            for actual, part, other_keys, cost, contributed in fallback_pool:
+            for (actual, nbytes, part, other_keys, cost,
+                 contributed) in fallback_pool:
                 try:
                     cid, cval = part.read_clusters(other_keys)
                 except PartitionNotFoundError:
@@ -1077,7 +1113,7 @@ class ClimberIndex:
                         # only its expansion read degraded.)
                         loaded.remove(actual)
                         failed.append(actual)
-                        data_bytes -= part.nbytes
+                        data_bytes -= nbytes
                         scan_costs.remove(cost)
                     continue
                 ids_parts.append(cid)
@@ -1449,17 +1485,19 @@ class ClimberIndex:
                 step_failed = True
             if not step_failed:
                 loaded.append(actual)
-                data_bytes += part.nbytes
+                nbytes = self.dfs.partition_nbytes(actual)
+                data_bytes += nbytes
                 if cid is not None:
                     ids_parts.append(cid)
                     val_parts.append(cval)
                 other_keys = [
                     key for key in part.cluster_keys() if key not in wanted
                 ]
-                cost = self._partition_scan_cost(part)
+                cost = self._partition_scan_cost(part, nbytes)
                 if other_keys:
                     fallback_pool.append(
-                        (actual, part, other_keys, cost, cid is not None)
+                        (actual, nbytes, part, other_keys, cost,
+                         cid is not None)
                     )
                 scan_costs.append(cost)
             if probe is not None:
@@ -1532,7 +1570,8 @@ class ClimberIndex:
             expanded = True
             if probe is not None:
                 t_read = time.perf_counter()
-            for actual, part, other_keys, cost, contributed in fallback_pool:
+            for (actual, nbytes, part, other_keys, cost,
+                 contributed) in fallback_pool:
                 try:
                     cid, cval = part.read_clusters(other_keys)
                 except PartitionNotFoundError:
@@ -1543,7 +1582,7 @@ class ClimberIndex:
                     if not contributed:
                         loaded.remove(actual)
                         failed.append(actual)
-                        data_bytes -= part.nbytes
+                        data_bytes -= nbytes
                         scan_costs.remove(cost)
                     continue
                 ids_parts.append(cid)

@@ -1,8 +1,8 @@
 """Parallel execution layer: serial / thread-pool / process-pool executors.
 
 Everything hot in this repository is vectorised numpy (PRs 1-4), and the
-numpy kernels that dominate the build — ``cdist``, the popcount sweeps,
-the payload gathers — release the GIL, so a *thread* pool is the default
+numpy kernels that dominate the build — ``cdist``, the signature key
+sort, the OD and payload gathers — release the GIL, so a *thread* pool is the default
 way to use more cores: no pickling, shared address space (the flat-trie
 compile and the query planner hand ``TrieNode`` objects across stages by
 identity, which only works in one process).  A process pool is available

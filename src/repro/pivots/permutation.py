@@ -7,12 +7,11 @@ the ``m`` nearest pivots, avoiding excessive space fragmentation while
 preserving locality.
 
 Everything operates on batches: signatures for a ``(d, w)`` PAA matrix are
-computed with one distance matrix and one partial sort.
+computed with one distance matrix and one row-wise sort of packed
+distance/pivot-id keys.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 from scipy.spatial.distance import cdist
@@ -22,80 +21,52 @@ from repro.series import as_matrix
 
 __all__ = ["pivot_distance_matrix", "full_permutations", "permutation_prefixes"]
 
-_TOPM_TILE_BYTES = 1 << 18
-"""Byte target per top-m row tile: the argpartition pass over the full
-``(d, r)`` distance matrix allocated and streamed ``d * r`` int64
-temporaries per call (~0.14 s of the 0.65 s conversion profile at 200k
-records).  Tiling rows keeps each partition + gather pass cache-resident,
-and the gathers reuse preallocated per-thread scratch buffers instead of
-allocating fresh ``(d, m+1)`` temporaries every call."""
-
-_tls = threading.local()
+_SORT_TILE_BYTES = 1 << 19
+"""Bytes of sort keys per row tile of the top-m pass.  Each tile is masked,
+sorted and read while it sits in L2; one full-width pass over a large
+batch re-streams the ``(d, r)`` keys from DRAM on every step (about 20%
+slower at 50k x 200 on an AVX-512 host).  Rows are independent, so the
+tile size cannot change a result."""
 
 
-def _tile_buffer(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """Per-thread reusable scratch (parallel conversion workers must not
-    share gather buffers)."""
-    buffers = getattr(_tls, "buffers", None)
-    if buffers is None:
-        buffers = _tls.buffers = {}
-    buf = buffers.get(name)
-    if buf is None or buf.shape != shape or buf.dtype != np.dtype(dtype):
-        buf = np.empty(shape, dtype=dtype)
-        buffers[name] = buf
-    return buf
+def _topm_sorted(d2: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top-m pivot ids per row by one sort of packed keys; overwrites ``d2``.
 
+    Non-negative float64 values order exactly like their int64 bit
+    patterns.  The low ``b = (r-1).bit_length()`` bits of every squared
+    distance are overwritten with its column id, so one SIMD float sort
+    per row orders the pivots by (truncated distance, id), and the first
+    ``m`` keys carry the answer in their low bits.
 
-def _topm_ranked(d2: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Blocked top-m selection over a ``(d, r)`` distance matrix.
-
-    Returns ``(ranked, ambiguous)``: the ``m`` nearest pivot ids per row
-    (distance order, pivot-id tie-break *within* the selected block) and
-    the boundary-ambiguity mask — rows where the (m+1)-th smallest
-    distance ties the m-th, i.e. where argpartition's arbitrary boundary
-    split must be repaired by a full sort.  Row results depend only on the
-    row's own distances, so any tile size produces identical output
-    (:func:`_topm_ranked_reference` is the one-shot oracle the parity
-    suite compares against).
+    Returns ``(ranked, uncertain)``.  A row is *uncertain* when two of its
+    first ``m + 1`` keys share their high bits — a real tie, or distances
+    that differ only in the overwritten bits — or when it holds a
+    non-finite distance.  Such a key is an inf or NaN pattern: it sorts
+    last, so the last key shows it, and the sort need not keep a NaN's
+    low bits (numpy's SIMD sort writes back one canonical NaN).  Every
+    other row is exact: its first ``m + 1`` distances are strictly
+    ordered, and everything past them is strictly larger than the m-th.
     """
     d, r = d2.shape
+    b = (r - 1).bit_length()
+    low = (1 << b) - 1
+    keys = d2.view(np.int64)
+    cols = np.arange(r, dtype=np.int64)
     ranked = np.empty((d, m), dtype=np.int64)
-    ambiguous = np.empty(d, dtype=bool)
-    tile = min(d, max(32, _TOPM_TILE_BYTES // max(1, r * 8))) or 1
-    flat = d2.reshape(-1)
-    idx_buf = _tile_buffer("topm_idx", (tile, m + 1), np.int64)
-    val_buf = _tile_buffer("topm_val", (tile, m + 1), np.float64)
+    uncertain = np.empty(d, dtype=bool)
+    tile = max(1, _SORT_TILE_BYTES // (r * 8))
     for start in range(0, d, tile):
         end = min(d, start + tile)
-        rows = end - start
-        part = np.argpartition(d2[start:end], m, axis=1)[:, : m + 1]
-        fi = idx_buf[:rows]
-        np.add(part, np.arange(start, end)[:, None] * r, out=fi)
-        vals = val_buf[:rows]
-        np.take(flat, fi, out=vals)
-        order = np.lexsort((part, vals), axis=1)
-        ranked[start:end] = np.take_along_axis(part, order[:, :m], axis=1)
-        # Only the boundary pair (positions m-1 and m in sorted order)
-        # decides ambiguity, so just those two columns are gathered.
-        vb = np.take_along_axis(vals, order[:, m - 1:], axis=1)
-        ambiguous[start:end] = vb[:, 1] <= vb[:, 0]
-    return ranked, ambiguous
-
-
-def _topm_ranked_reference(d2: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """The seed one-shot top-m pass, retained as the parity oracle.
-
-    One full-width ``argpartition`` + gather + ``lexsort`` over the whole
-    matrix — bit-identical to the blocked :func:`_topm_ranked` (the
-    randomized kernel-parity suite proves it) and the baseline its tile
-    sizing was measured against.
-    """
-    part = np.argpartition(d2, m, axis=1)[:, : m + 1]
-    vals = np.take_along_axis(d2, part, axis=1)
-    order = np.lexsort((part, vals), axis=1)
-    ranked = np.take_along_axis(part, order, axis=1)[:, :m]
-    vboundary = np.take_along_axis(vals, order[:, m - 1:], axis=1)
-    return ranked, vboundary[:, 1] <= vboundary[:, 0]
+        k = keys[start:end]
+        k &= ~low
+        k |= cols
+        d2[start:end].sort(axis=1)
+        high = k[:, : m + 1] >> b
+        u = uncertain[start:end]
+        np.any(high[:, 1:] == high[:, :-1], axis=1, out=u)
+        u |= ~np.isfinite(d2[start:end, -1])
+        np.bitwise_and(k[:, :m], low, out=ranked[start:end])
+    return ranked, uncertain
 
 
 def pivot_distance_matrix(paa: np.ndarray, pivots: np.ndarray) -> np.ndarray:
@@ -155,7 +126,8 @@ def permutation_prefixes(
     numpy.ndarray
         ``(d, m)`` int32 matrix (or ``out``) of the ``m`` nearest pivot
         ids per object, ordered by ascending distance (rank-sensitive
-        order).
+        order), ties broken by pivot id — always the head of
+        :func:`full_permutations`.
     """
     d2 = pivot_distance_matrix(paa, pivots)
     r = d2.shape[1]
@@ -172,19 +144,12 @@ def permutation_prefixes(
             return ranked
         out[...] = ranked
         return out
-    # Partial selection of the m+1 smallest (cheap), then an exact sort of
-    # just that candidate block, in cache-sized row tiles over reusable
-    # scratch.  Selecting one extra element makes the tie-ambiguity test
-    # local: the boundary (m-th smallest) distance is ambiguous iff the
-    # (m+1)-th smallest equals it — no full-width comparison sweep over
-    # d2 needed.
-    ranked, ambiguous = _topm_ranked(d2, m)
-    # argpartition may split ties at the m-th distance arbitrarily; repair
-    # rows where the boundary is ambiguous so tie-breaking is always by id.
-    if np.any(ambiguous):
-        rows = np.flatnonzero(ambiguous)
-        sub = full_permutations(paa[rows], pivots)[:, :m]
-        ranked[rows] = sub
+    ranked, uncertain = _topm_sorted(d2, m)
+    # Ties (and the rare near-ties the id bits hide) take the exact path,
+    # which breaks them by pivot id.
+    if np.any(uncertain):
+        rows = np.flatnonzero(uncertain)
+        ranked[rows] = full_permutations(paa[rows], pivots)[:, :m]
     if out is None:
         return ranked.astype(np.int32)
     out[...] = ranked

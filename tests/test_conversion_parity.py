@@ -63,6 +63,7 @@ class TestAssignParity:
         (3, 96, 6, 800, 40),     # two-word bitsets
         (4, 130, 10, 500, 25),   # three-word bitsets
         (5, 24, 3, 1000, 12),    # short prefixes -> heavy OD ties
+        (6, 300, 256, 60, 4),    # m >= 256 -> uint16 intersection counts
     ])
     def test_randomized_sweep_bit_identical(self, seed, r, m, d, k):
         gen = np.random.default_rng(seed + 1000)

@@ -87,6 +87,24 @@ class TestGroupAssignerGeneral:
         with pytest.raises(ConfigurationError):
             paper_assigner.assign(np.array([[1, 2, 3, 4]]))
 
+    @pytest.mark.parametrize("row", [[2, 2, 3], [3, 4, 3], [5, 5, 5]])
+    def test_rejects_repeated_pivot_ids(self, paper_assigner, row):
+        """A signature is a set of distinct pivots.  The OD sum gathers one
+        table row per rank, so a repeated id would count its overlap twice;
+        ``assign`` refuses such rows instead of grouping them silently."""
+        batch = np.array([[3, 4, 1], row, [7, 8, 9]])
+        with pytest.raises(ConfigurationError, match="repeats a pivot id"):
+            paper_assigner.assign(batch)
+        with pytest.raises(ConfigurationError, match="repeats a pivot id"):
+            paper_assigner.assign_deferred(batch)
+        with pytest.raises(ConfigurationError, match="repeats a pivot id"):
+            paper_assigner.assign_one(row)
+
+    @pytest.mark.parametrize("row", [[-1, 2, 3], [1, 2, 10]])
+    def test_rejects_out_of_range_pivot_ids(self, paper_assigner, row):
+        with pytest.raises(ConfigurationError, match="out of range"):
+            paper_assigner.assign(np.array([row]))
+
     def test_rejects_wrong_weights_length(self):
         with pytest.raises(ConfigurationError):
             GroupAssigner([(1, 2, 3)], 10, 3, weights=np.ones(2))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.topm import topm_reference
 from repro.exceptions import ConfigurationError
 from repro.pivots import (
     full_permutations,
@@ -157,3 +158,78 @@ def test_prefix_consistency_property(r, w, data):
     full = full_permutations(paa, pivots)
     prefix = permutation_prefixes(paa, pivots, m)
     np.testing.assert_array_equal(prefix, full[:, :m])
+
+
+def _topm_inputs(kind: str, r: int, w: int, d: int, rng: np.random.Generator):
+    """PAA rows and pivots for one oracle-parity case."""
+    if kind == "random":
+        return rng.normal(size=(d, w)), rng.normal(size=(r, w))
+    if kind == "integer":
+        # Coordinates in {-2..2}: most rows hold many exact distance ties.
+        return (rng.integers(-2, 3, size=(d, w)).astype(np.float64),
+                rng.integers(-2, 3, size=(r, w)).astype(np.float64))
+    if kind == "duplicated-pivots":
+        pivots = rng.normal(size=(r, w))
+        half = r // 2
+        pivots[half:] = pivots[: r - half]
+        return rng.normal(size=(d, w)), pivots
+    if kind == "object-is-pivot":
+        pivots = rng.normal(size=(r, w))
+        return pivots[rng.integers(0, r, size=d)].copy(), pivots
+    if kind == "near-ties":
+        # Pivots on one ray, one ulp of scale apart and farther with every
+        # lower id: their squared distances from the origin differ only in
+        # the last bits, against the id order.
+        scale = np.ones(r)
+        for j in range(r - 2, -1, -1):
+            scale[j] = np.nextafter(scale[j + 1], 2.0)
+        paa = np.zeros((d, w))
+        paa[d // 2:] = rng.normal(size=(d - d // 2, w)) * 1e-3
+        return paa, scale[:, None] * rng.normal(size=(1, w))
+    if kind == "overflow":
+        # About half the pivots sit so far out that their squared distances
+        # overflow to inf, so rows mix finite and infinite distances; every
+        # third object has an infinite coordinate and no finite distance.
+        pivots = rng.normal(size=(r, w))
+        pivots[rng.random(r) < 0.5] *= 1e200
+        paa = rng.normal(size=(d, w))
+        paa[::3, 0] = np.inf
+        return paa, pivots
+    raise AssertionError(kind)
+
+
+@pytest.mark.parametrize("m_mode", ["1", "r-1", "r", "any"])
+@pytest.mark.parametrize("kind", [
+    "random", "integer", "duplicated-pivots", "object-is-pivot",
+    "near-ties", "overflow",
+])
+@given(
+    r=st.one_of(st.integers(2, 40), st.integers(257, 300)),
+    w=st.integers(1, 6),
+    d=st.one_of(st.just(1), st.integers(2, 40)),
+    use_out=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=12, deadline=None)
+def test_prefixes_match_topm_oracle(kind, m_mode, r, w, d, use_out, data):
+    """``permutation_prefixes`` equals the cdist + full-lexsort oracle.
+
+    Covers exact ties, ties hidden below the id bits of the sort keys,
+    duplicated pivots, zero distances, ``m`` at ``r - 1`` and ``r``,
+    ``r > 256`` (more id bits than one byte), single-row batches, the
+    ``out=`` path and non-finite distances.
+    """
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    paa, pivots = _topm_inputs(kind, r, w, d, rng)
+    m = {"1": 1, "r-1": r - 1, "r": r}.get(m_mode) or data.draw(
+        st.integers(1, r)
+    )
+    expect = topm_reference(paa, pivots, m)
+    if use_out:
+        out = np.full((d, m), -1, dtype=np.int64)
+        got = permutation_prefixes(paa, pivots, m, out=out)
+        assert got is out
+    else:
+        got = permutation_prefixes(paa, pivots, m)
+        assert got.dtype == np.int32
+    np.testing.assert_array_equal(got, expect)

@@ -164,3 +164,76 @@ class TestBatchSignatureDedup:
         batch_res = batch_idx.knn_batch(queries, 8)
         solo_res = [solo_idx.knn(q, 8) for q in queries]
         assert_results_identical(solo_res, batch_res)
+
+
+class TestOpenAccounting:
+    """The query walk charges each loaded partition the logical size the
+    DFS registered for it, instead of asking the opened handle (a v2
+    handle re-encodes its JSON header to compute that size)."""
+
+    @staticmethod
+    def _reopened(dataset, fmt, path, cache_bytes=0):
+        from repro.storage import SimulatedDFS
+
+        idx, _ = build(dataset, fmt, path)
+        idx.append(random_walk_dataset(200, 48, seed=31))
+        blob = idx.save_global_index()
+        dfs = SimulatedDFS(backing_dir=path, cache_bytes=cache_bytes)
+        dfs.attach()
+        return ClimberIndex.reopen(blob, dfs, idx.config), dfs
+
+    @pytest.mark.parametrize("fmt", ["v1", "v2"])
+    def test_stats_and_counters_match_handle_sizes(self, dataset, queries,
+                                                   fmt, tmp_path):
+        from repro.storage import SimulatedDFS
+
+        path = tmp_path / fmt
+        idx, dfs = self._reopened(dataset, fmt, path)
+        # The sizes the walk charged before: each handle's own nbytes.
+        handles = SimulatedDFS(backing_dir=path)
+        handles.attach()
+        deltas_read = 0
+        for variant in ("knn", "adaptive", "od-smallest"):
+            for q in queries:
+                before = dfs.counters
+                res = idx.knn(q, 10, variant=variant)
+                after = dfs.counters
+                loaded = res.stats.partitions_loaded
+                deltas_read += sum(".d" in p for p in loaded)
+                expect = sum(handles.read_partition(p).nbytes for p in loaded)
+                assert res.stats.data_bytes == expect
+                assert after.bytes_read - before.bytes_read == expect
+                assert after.partitions_read - before.partitions_read == len(loaded)
+                final = list(idx.knn_progressive(
+                    q, 10, variant=variant, early_stop="off"))[-1]
+                assert final.stats.data_bytes == expect
+                assert final.stats.sim_seconds == res.stats.sim_seconds
+        assert deltas_read > 0
+
+    def test_v1_and_v2_walks_charge_identically(self, dataset, queries,
+                                                tmp_path):
+        v1_idx, v1_dfs = self._reopened(dataset, "v1", tmp_path / "v1")
+        v2_idx, v2_dfs = self._reopened(dataset, "v2", tmp_path / "v2",
+                                        cache_bytes=1 << 26)
+        assert_results_identical(v1_idx.knn_batch(queries, 10),
+                                 v2_idx.knn_batch(queries, 10))
+        assert_results_identical([v1_idx.knn(q, 10) for q in queries],
+                                 [v2_idx.knn(q, 10) for q in queries])
+        assert v1_dfs.counters.bytes_read == v2_dfs.counters.bytes_read
+        assert (v1_dfs.counters.partitions_read
+                == v2_dfs.counters.partitions_read)
+
+    def test_opens_do_not_recompute_logical_size(self, dataset, queries,
+                                                 tmp_path, monkeypatch):
+        import repro.storage.engine.format as v2_format
+
+        idx, _ = self._reopened(dataset, "v2", tmp_path / "v2")
+
+        def recomputed(*args, **kwargs):
+            raise AssertionError("logical size recomputed on a query path")
+
+        monkeypatch.setattr(v2_format, "logical_partition_nbytes", recomputed)
+        idx.knn_batch(queries, 10)
+        for q in queries:
+            idx.knn(q, 10)
+            list(idx.knn_progressive(q, 10, early_stop="off"))
