@@ -51,7 +51,12 @@ from repro.core.skeleton import (
 from repro.core.trie import build_group_trie
 from repro.exceptions import ConfigurationError
 from repro.obs import NULL_TELEMETRY, Telemetry
-from repro.pivots import decay_weights, permutation_prefixes, select_random_pivots
+from repro.pivots import (
+    PivotOperand,
+    decay_weights,
+    permutation_prefixes,
+    select_random_pivots,
+)
 from repro.series import SeriesDataset, paa_transform
 from repro.storage import PartitionFile, SimulatedDFS
 from repro.storage.engine.format import encode_partition_v2_arrays
@@ -64,7 +69,8 @@ class BuildArtifacts:
     """Everything the builder produces; consumed by ClimberIndex."""
 
     skeleton: IndexSkeleton
-    pivots: np.ndarray
+    pivot_operand: PivotOperand
+    """The pivots, prepared once for every signature computation."""
     dfs: SimulatedDFS
     assigner: GroupAssigner
     sim_report: SimReport
@@ -80,6 +86,10 @@ class BuildArtifacts:
     """The telemetry the build recorded into (``build.*`` histograms and
     span timings when enabled).  ``ClimberIndex.build`` adopts it so query
     metrics land on the same registry."""
+
+    @property
+    def pivots(self) -> np.ndarray:
+        return self.pivot_operand.pivots
 
     @property
     def phase_seconds(self) -> dict[str, float]:
@@ -186,8 +196,8 @@ def build_index_artifacts(
             f"sample holds {sample_paa.shape[0]} series < n_pivots {r}; "
             "increase sample_fraction or decrease n_pivots"
         )
-    pivots = select_random_pivots(sample_paa, r, rng)
-    sample_ranked = permutation_prefixes(sample_paa, pivots, m)
+    operand = PivotOperand(select_random_pivots(sample_paa, r, rng))
+    sample_ranked = permutation_prefixes(sample_paa, operand, m)
 
     # ------------------------------------------------------------------ Step 2
     # Signature aggregation is pure array work: one lexicographic
@@ -209,7 +219,7 @@ def build_index_artifacts(
         np.asarray(unranked_inverse).reshape(-1),
         distinct_freqs,
     )
-    unranked_sigs = [tuple(int(p) for p in row) for row in unranked_rows]
+    unranked_sigs = list(map(tuple, unranked_rows.tolist()))
     unranked_freqs = unranked_freq_arr.tolist()
     centroids = compute_centroids(
         unranked_sigs,
@@ -291,7 +301,9 @@ def build_index_artifacts(
         )
 
     # ------------------------------------------------------------------ Step 4
-    broadcast_bytes = len(SkeletonWithPivots(skeleton, pivots).to_bytes())
+    broadcast_bytes = len(
+        SkeletonWithPivots(skeleton, operand.pivots).to_bytes()
+    )
     sim.broadcast("build/redistribute/broadcast", broadcast_bytes)
 
     sim.run_scaled_stage(
@@ -316,12 +328,12 @@ def build_index_artifacts(
         t_convert = time.perf_counter()
         if conversion == "fused":
             ranked_all, gids_all = _convert_fused(
-                dataset, pivots, assigner, w, m, executor=executor,
+                dataset, operand, assigner, w, m, executor=executor,
                 telemetry=tel,
             )
         else:
             ranked_all, gids_all = _convert_legacy(
-                chunks, pivots, assigner, w, m
+                chunks, operand, assigner, w, m
             )
         wall_convert = time.perf_counter() - t_convert
 
@@ -361,7 +373,7 @@ def build_index_artifacts(
         tel.registry.histogram("build.wall_s").observe(wall_seconds)
     return BuildArtifacts(
         skeleton=skeleton,
-        pivots=pivots,
+        pivot_operand=operand,
         dfs=dfs,
         assigner=assigner,
         sim_report=sim.fresh_report(),
@@ -394,7 +406,7 @@ def _convert_block(task):
 
 def _convert_fused(
     dataset: SeriesDataset,
-    pivots: np.ndarray,
+    pivots: PivotOperand,
     assigner: GroupAssigner,
     word_length: int,
     prefix_length: int,
@@ -447,7 +459,7 @@ def _convert_fused(
 
 def _convert_legacy(
     chunks,
-    pivots: np.ndarray,
+    pivots: PivotOperand,
     assigner: GroupAssigner,
     word_length: int,
     prefix_length: int,

@@ -82,7 +82,12 @@ from repro.obs import (
     Telemetry,
     global_registry,
 )
-from repro.pivots import decay_weights, permutation_prefixes, wd_tie_tolerance
+from repro.pivots import (
+    PivotOperand,
+    decay_weights,
+    permutation_prefixes,
+    wd_tie_tolerance,
+)
 from repro.series import (
     SeriesDataset,
     knn_bruteforce,
@@ -312,7 +317,9 @@ class ClimberIndex:
         sim = ClusterSimulator(self.model)
         scale = cfg.cost_scale
         paa = paa_transform(dataset.values, cfg.word_length)
-        ranked = permutation_prefixes(paa, self._art.pivots, cfg.prefix_length)
+        ranked = permutation_prefixes(
+            paa, self._art.pivot_operand, cfg.prefix_length
+        )
         gids = self._art.assigner.assign(ranked).group_indices
 
         # Batch route through the frozen skeleton's CSR-compiled tries —
@@ -421,7 +428,7 @@ class ClimberIndex:
             )
         artifacts = BuildArtifacts(
             skeleton=skeleton,
-            pivots=loaded.pivots,
+            pivot_operand=PivotOperand(loaded.pivots),
             dfs=dfs,
             assigner=assigner,
             sim_report=SimReport(),
@@ -523,7 +530,9 @@ class ClimberIndex:
         """Rank-sensitive signature of a query series (Algorithm 3 L2-4)."""
         q = np.asarray(query, dtype=np.float64).reshape(1, -1)
         paa = paa_transform(q, self.config.word_length)
-        return permutation_prefixes(paa, self._art.pivots, self.config.prefix_length)[0]
+        return permutation_prefixes(
+            paa, self._art.pivot_operand, self.config.prefix_length
+        )[0]
 
     def group_candidates(
         self, ranked_sig: np.ndarray, od_slack: int = 0
@@ -894,7 +903,7 @@ class ClimberIndex:
         t0 = time.perf_counter()
         paa = paa_transform(arr, self.config.word_length)
         ranked = permutation_prefixes(
-            paa, self._art.pivots, self.config.prefix_length
+            paa, self._art.pivot_operand, self.config.prefix_length
         )
         if probes is not None:
             sig_s = time.perf_counter() - t0
@@ -1323,7 +1332,7 @@ class ClimberIndex:
         t0 = time.perf_counter()
         paa = paa_transform(arr, self.config.word_length)
         ranked = permutation_prefixes(
-            paa, self._art.pivots, self.config.prefix_length
+            paa, self._art.pivot_operand, self.config.prefix_length
         )
         if probes is not None:
             sig_s = time.perf_counter() - t0

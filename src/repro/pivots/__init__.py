@@ -17,6 +17,7 @@ from repro.pivots.distances import (
     weight_distance_matrix_reference,
 )
 from repro.pivots.permutation import (
+    PivotOperand,
     full_permutations,
     permutation_prefixes,
     pivot_distance_matrix,
@@ -35,6 +36,7 @@ from repro.pivots.signatures import (
 __all__ = [
     "select_random_pivots",
     "select_farthest_first_pivots",
+    "PivotOperand",
     "pivot_distance_matrix",
     "full_permutations",
     "permutation_prefixes",

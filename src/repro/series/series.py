@@ -134,13 +134,14 @@ class SeriesDataset:
 
         Models a raw dataset already resident on a cluster as a set of
         arbitrary input partitions (the starting point of the paper's
-        index-construction workflow, Fig. 6).
+        index-construction workflow, Fig. 6).  The chunks are views of
+        this dataset's arrays, not copies: writing to one writes here.
         """
         if n_chunks < 1:
             raise ValueError("n_chunks must be >= 1")
         bounds = np.linspace(0, self.count, n_chunks + 1).astype(np.int64)
         return [
-            self.take(np.arange(bounds[i], bounds[i + 1]))
-            for i in range(n_chunks)
-            if bounds[i + 1] > bounds[i]
+            SeriesDataset(self.values[lo:hi], self.ids[lo:hi], self.name)
+            for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+            if hi > lo
         ]

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import pickle
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,12 +13,18 @@ from hypothesis import strategies as st
 from oracles.topm import topm_reference
 from repro.exceptions import ConfigurationError
 from repro.pivots import (
+    PivotOperand,
     full_permutations,
+    permutation,
     permutation_prefixes,
     pivot_distance_matrix,
     select_farthest_first_pivots,
     select_random_pivots,
 )
+
+# The kernels silence the warnings of non-finite inputs locally; any that
+# escapes is a failure.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +195,31 @@ def _topm_inputs(kind: str, r: int, w: int, d: int, rng: np.random.Generator):
         paa = np.zeros((d, w))
         paa[d // 2:] = rng.normal(size=(d - d // 2, w)) * 1e-3
         return paa, scale[:, None] * rng.normal(size=(1, w))
+    if kind == "cancellation":
+        # A large common offset on every coordinate and pivots on a sphere
+        # around the objects, radii 1e-7 apart: the product's rounding
+        # (about ulp(offset^2)) exceeds the gaps between distances.
+        center = 10.0 ** rng.uniform(6, 9) + rng.normal(size=w)
+        dirs = rng.normal(size=(r, w))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        radius = 1.0 + rng.uniform(-1e-7, 1e-7, size=(r, 1))
+        return center + rng.normal(size=(d, w)) * 1e-6, center + dirs * radius
+    if kind == "object-is-pivot-offset":
+        # Objects equal to pivots far from the origin: the product gives
+        # their zero self-distance as a small value of either sign.
+        pivots = 10.0 ** rng.uniform(2, 6) + rng.normal(size=(r, w))
+        return pivots[rng.integers(0, r, size=d)].copy(), pivots
+    if kind == "non-finite":
+        # NaN, -inf and overflowing objects among finite ones, and in half
+        # of the cases one infinite pivot (no row is finite then).
+        paa = rng.normal(size=(d, w))
+        paa[::4, 0] = np.nan
+        paa[1::4, -1] = -np.inf
+        paa[2::4] *= 1e160
+        pivots = rng.normal(size=(r, w))
+        if rng.random() < 0.5:
+            pivots[rng.integers(0, r), 0] = np.inf
+        return paa, pivots
     if kind == "overflow":
         # About half the pivots sit so far out that their squared distances
         # overflow to inf, so rows mix finite and infinite distances; every
@@ -201,7 +235,8 @@ def _topm_inputs(kind: str, r: int, w: int, d: int, rng: np.random.Generator):
 @pytest.mark.parametrize("m_mode", ["1", "r-1", "r", "any"])
 @pytest.mark.parametrize("kind", [
     "random", "integer", "duplicated-pivots", "object-is-pivot",
-    "near-ties", "overflow",
+    "near-ties", "overflow", "cancellation", "object-is-pivot-offset",
+    "non-finite",
 ])
 @given(
     r=st.one_of(st.integers(2, 40), st.integers(257, 300)),
@@ -217,7 +252,8 @@ def test_prefixes_match_topm_oracle(kind, m_mode, r, w, d, use_out, data):
     Covers exact ties, ties hidden below the id bits of the sort keys,
     duplicated pivots, zero distances, ``m`` at ``r - 1`` and ``r``,
     ``r > 256`` (more id bits than one byte), single-row batches, the
-    ``out=`` path and non-finite distances.
+    ``out=`` path, non-finite distances, and cancellation, where the
+    matrix product cannot order the pivots and the screen must repair.
     """
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     paa, pivots = _topm_inputs(kind, r, w, d, rng)
@@ -225,11 +261,63 @@ def test_prefixes_match_topm_oracle(kind, m_mode, r, w, d, use_out, data):
         st.integers(1, r)
     )
     expect = topm_reference(paa, pivots, m)
-    if use_out:
-        out = np.full((d, m), -1, dtype=np.int64)
-        got = permutation_prefixes(paa, pivots, m, out=out)
-        assert got is out
-    else:
-        got = permutation_prefixes(paa, pivots, m)
-        assert got.dtype == np.int32
+    with mock.patch.object(permutation, "full_permutations",
+                           wraps=permutation.full_permutations) as exact:
+        if use_out:
+            out = np.full((d, m), -1, dtype=np.int64)
+            got = permutation_prefixes(paa, pivots, m, out=out)
+            assert got is out
+        else:
+            got = permutation_prefixes(paa, pivots, m)
+            assert got.dtype == np.int32
     np.testing.assert_array_equal(got, expect)
+    if kind == "cancellation":
+        # The screen really repaired rows here: not a vacuous pass.
+        assert sum(len(c.args[0]) for c in exact.call_args_list) > 0
+
+
+def test_clamp_leaves_no_negative_zero_key():
+    """Negative distances, ``-0.0`` included, become ``+0.0`` keys.
+
+    ``-0.0`` has the int64 pattern of the most negative integer: left in,
+    its key would sort first and reverse the id order of zero ties.
+    """
+    rng = np.random.default_rng(5)
+    d2 = rng.random((7, 12)) + 1.0
+    d2[:, 3] = -0.0
+    d2[:, 9] = -1e-12
+    d2[:, 5] = 0.0
+    ranked, min_gap = permutation._topm_sorted(d2, 4)
+    assert not np.signbit(d2).any()
+    np.testing.assert_array_equal(ranked[:, :3], [[3, 5, 9]] * 7)
+    # Ids 3, 5 and 9 in the bits of zero: the smallest gap is two
+    # subnormal steps, far inside any tolerance, so such rows are repaired.
+    assert np.all(min_gap == 2 * 2.0**-1074)
+
+
+def test_object_equal_to_pivot_under_offset_is_exact():
+    """The product's self-distance rounds off zero; the answer may not."""
+    pivots = 1e3 + 30 * np.random.default_rng(3).normal(size=(64, 16))
+    op = PivotOperand(pivots)
+    d2 = np.ones((64, 18))
+    d2[:, :16] = pivots
+    d2[:, 16] = np.vecdot(pivots, pivots)
+    d2 = d2 @ op.rhs
+    assert (np.diag(d2) < 0).any()  # the hazard is real on these inputs
+    np.testing.assert_array_equal(
+        permutation_prefixes(pivots, op, 3), topm_reference(pivots, pivots, 3)
+    )
+
+
+def test_pivot_operand_is_the_pivots_prepared():
+    """Same answers from raw pivots, an operand and a pickled operand."""
+    rng = np.random.default_rng(11)
+    paa, pivots = rng.normal(size=(300, 6)), rng.normal(size=(40, 6))
+    op = PivotOperand(pivots)
+    assert op.rhs.flags.c_contiguous and op.rhs.shape == (8, 40)
+    twin = pickle.loads(pickle.dumps(op))
+    expect = permutation_prefixes(paa, pivots, 5)
+    np.testing.assert_array_equal(permutation_prefixes(paa, op, 5), expect)
+    np.testing.assert_array_equal(permutation_prefixes(paa, twin, 5), expect)
+    with pytest.raises(ConfigurationError):
+        permutation_prefixes(paa[:, :5], op, 5)

@@ -108,6 +108,17 @@ class TestSeriesDataset:
         all_ids = sorted(i for c in chunks for i in c.ids.tolist())
         assert all_ids == list(range(10))
 
+    def test_split_chunks_are_contiguous_views(self):
+        ds = SeriesDataset(np.arange(40.0).reshape(10, 4), name="walk")
+        chunks = ds.split_into_chunks(3)
+        np.testing.assert_array_equal(
+            np.concatenate([c.values for c in chunks]), ds.values
+        )
+        for c in chunks:
+            assert np.shares_memory(c.values, ds.values)
+            assert np.shares_memory(c.ids, ds.ids)
+            assert c.name == "walk"
+
     def test_split_into_more_chunks_than_rows(self):
         ds = SeriesDataset(np.zeros((2, 4)))
         chunks = ds.split_into_chunks(5)
