@@ -8,7 +8,8 @@ dimensionality from ``n`` to ``w`` (Fig. 3 of the paper).
 Two paths are implemented: a fast reshape-based path when ``w`` divides
 ``n``, and the classic fractional-weight formulation otherwise (a segment
 boundary can fall inside a reading, which then contributes proportionally
-to both neighbouring segments).
+to both neighbouring segments).  Both compute every row on its own, so a
+row's PAA does not depend on the other rows of the call.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ __all__ = ["paa_transform", "paa_inverse", "paa_distance_lower_bound"]
 
 
 def _fractional_weights(n: int, w: int) -> np.ndarray:
-    """``(w, n)`` weight matrix implementing fractional PAA as one matmul.
+    """``(w, n)`` weight matrix of fractional PAA.
 
     Row ``s`` holds each reading's share of segment ``s``; rows sum to 1 so
     the transform is a true segment mean.
@@ -40,6 +41,25 @@ def _fractional_weights(n: int, w: int) -> np.ndarray:
                 weights[s, j] = overlap
     weights /= seg_len
     return weights
+
+
+def _fractional_terms(n: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each segment's readings and weights, as ``(w, m)`` column tables.
+
+    Column ``t`` holds every segment's ``t``-th overlapping reading and its
+    weight; a segment with fewer than ``m`` readings repeats its last one
+    with weight 0.
+    """
+    weights = _fractional_weights(n, w)
+    m = int(np.count_nonzero(weights, axis=1).max())
+    cols = np.empty((w, m), dtype=np.intp)
+    terms = np.zeros((w, m), dtype=np.float64)
+    for s in range(w):
+        nz = np.flatnonzero(weights[s])
+        cols[s, :nz.size] = nz
+        cols[s, nz.size:] = nz[-1]
+        terms[s, :nz.size] = weights[s, nz]
+    return cols, terms
 
 
 def paa_transform(data: np.ndarray, n_segments: int) -> np.ndarray:
@@ -67,7 +87,15 @@ def paa_transform(data: np.ndarray, n_segments: int) -> np.ndarray:
     if n % w == 0:
         seg = n // w
         return arr.reshape(arr.shape[0], w, seg).mean(axis=2)
-    return arr @ _fractional_weights(n, w).T
+    # A fixed-order sum of each segment's (at most ceil(n/w) + 1) weighted
+    # readings, vectorised over rows.  A matrix product would round each
+    # row differently depending on how many rows the call holds, and large
+    # calls would wake the BLAS thread pool.
+    cols, terms = _fractional_terms(n, w)
+    out = arr[:, cols[:, 0]] * terms[:, 0]
+    for t in range(1, cols.shape[1]):
+        out += arr[:, cols[:, t]] * terms[:, t]
+    return out
 
 
 def paa_inverse(paa: np.ndarray, length: int) -> np.ndarray:

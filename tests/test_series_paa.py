@@ -50,6 +50,22 @@ class TestPaaTransform:
         # segment 2 covers the other half of 2 and readings 3,4 -> (1+4+4)/2.5.
         np.testing.assert_allclose(out[0], [2.0, 3.6])
 
+    @pytest.mark.parametrize("rows,n,w", [(4096, 250, 16), (64, 100, 7),
+                                          (64, 300, 23), (3, 5, 2)])
+    def test_fractional_rows_independent_of_batch(self, rng, rows, n, w):
+        """A row's fractional PAA is bit-identical whether it is computed
+        alone or inside a batch of any size (so knn and knn_batch derive
+        the same signature for the same query)."""
+        from repro.series.paa import _fractional_weights
+
+        x = rng.normal(size=(rows, n))
+        batch = paa_transform(x, w)
+        for i in range(0, rows, max(1, rows // 64)):
+            assert np.array_equal(batch[i], paa_transform(x[i:i + 1], w)[0])
+        assert np.array_equal(batch[: rows // 2], paa_transform(x[: rows // 2], w))
+        np.testing.assert_allclose(batch, x @ _fractional_weights(n, w).T,
+                                   rtol=0, atol=1e-14)
+
     def test_mean_preserved(self, rng):
         """PAA preserves the overall mean for divisible segmentations."""
         x = rng.normal(size=(4, 32))
