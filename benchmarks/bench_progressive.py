@@ -44,9 +44,10 @@ RECALL_FLOOR = 0.40         # recall@10 reachable before full coverage
 PARITY_FORMATS = ("v1", "v2")
 PARITY_WORKERS = (1, 2, 4)
 STOP_SPECS = ("streak:1", "streak:2", "confidence:0.9")
-#: Curve + operating points use od-smallest: its promise-ordered plans
-#: are the deepest of the three variants, so it is where progressive
-#: delivery actually has partitions to forgo.
+#: Curve + operating points use od-smallest: its plans (visited in
+#: partition-name order, each base before its deltas) are the deepest of
+#: the three variants, so it is where progressive delivery actually has
+#: partitions to forgo.
 CURVE_VARIANT = "od-smallest"
 
 

@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -193,6 +194,233 @@ class QueryResult:
     stats: QueryStats
 
 
+def _stage(probe: QueryProbe | None, name: str):
+    """Time a block into ``probe``'s stage ``name``; no-op when unprobed."""
+    return probe.stage(name) if probe is not None else nullcontext()
+
+
+@dataclass(frozen=True)
+class _RoutedQuery:
+    """One query past stages 1-2, ready for :class:`_Walk`.
+
+    ``primary`` is always selected before the walk starts — by
+    :meth:`ClimberIndex._route_query`, or serially in row order by
+    :meth:`ClimberIndex._run_batch` — so the index RNG stream is consumed
+    in call and row order whichever thread runs the walk.  ``t0`` is the
+    clock reading ``wall_seconds`` counts from.
+    """
+
+    query: np.ndarray
+    k: int
+    variant: str
+    adaptive_factor: int | None
+    on_failure: str
+    candidates: list[GroupCandidate]
+    primary: GroupCandidate
+    t0: float
+    probe: QueryProbe | None
+
+
+class _Walk:
+    """Stages 3-4 of one routed query: node selection and the record scan.
+
+    Construction selects the trie nodes and resolves them to the physical
+    plan (:meth:`ClimberIndex._plan_partition_reads`).  :meth:`visits`
+    reads that plan one partition at a time and yields each visit's
+    targeted ``(ids, values)``, or ``None`` when the partition failed or
+    held none of the targeted clusters.  A consumer may stop iterating
+    early; the plan's unvisited rest is then forgone.  :meth:`finish`
+    applies the within-partition expansion, refines the answer over every
+    candidate read, in visit order, and charges and records the query.
+
+    ``probe`` (when given) collects the select/read/refine stage timings
+    and the per-query DFS cache hit/miss delta.  Probing is observation
+    only — the answer set, stats and counters are bit-identical with or
+    without it; the cache delta is exact when rows run serially and
+    approximate under concurrent shards (other rows' hits/misses
+    interleave, as any shared cache's do).
+
+    ``on_failure="skip"`` degrades gracefully: a partition whose read (or
+    whose later payload materialisation — lazy checksum verification
+    fires on the first cluster read) raises a
+    :class:`~repro.exceptions.StorageError` is dropped from the candidate
+    set and recorded in ``stats.partitions_failed`` instead of aborting
+    the query.  :class:`PartitionNotFoundError` is never skipped — a
+    referenced-but-absent partition is index/store inconsistency, not a
+    transient fault.
+    """
+
+    def __init__(self, index: "ClimberIndex", routed: _RoutedQuery) -> None:
+        self._index = index
+        self._routed = routed
+        cfg = index.config
+        self._sim = ClusterSimulator(index.model)
+        # Driver-side routing: signature of one query object plus a linear
+        # scan of the group list.  Independent of the data volume, so it is
+        # *not* scaled by cost_scale (the group list itself grows only with
+        # the signature space, paper §VII-B).
+        self._sim.run_driver_step(
+            "query/route",
+            TaskCost(
+                cpu_ops=int(
+                    ops_signature(cfg.n_pivots, cfg.word_length, cfg.prefix_length)
+                    + index.n_groups * cfg.prefix_length * 8
+                )
+            ),
+        )
+        with _stage(routed.probe, "select"):
+            self._selected = index._select_nodes(
+                routed.variant, routed.primary, routed.candidates, routed.k,
+                routed.adaptive_factor,
+            )
+            #: ``(physical partition, cluster keys wanted)`` in visit order.
+            self.plan = index._plan_partition_reads(self._selected)
+        if routed.probe is not None:
+            self._counters_before = index.dfs.counters
+        self.visited = 0
+        self._ids_parts: list[np.ndarray] = []
+        self._val_parts: list[np.ndarray] = []
+        self._loaded: list[str] = []
+        self._failed: list[str] = []
+        self._data_bytes = 0
+        self._scan_costs: list[TaskCost] = []
+        self._fallback_pool: list[tuple] = []
+
+    def visits(self) -> Iterator[tuple[np.ndarray, np.ndarray] | None]:
+        """Read the plan in order, yielding each visit's targeted records."""
+        for actual, wanted in self.plan:
+            with _stage(self._routed.probe, "read"):
+                targeted = self._read(actual, wanted)
+            self.visited += 1
+            yield targeted
+
+    def _read(
+        self, actual: str, wanted: set[str]
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        dfs = self._index.dfs
+        # All per-partition reads (open + targeted cluster ranges) succeed
+        # or fail atomically from this query's view: a failure after retry
+        # exhaustion either aborts the query (mode "raise") or drops the
+        # whole partition (mode "skip") — never a half-read partition.
+        try:
+            part = dfs.read_partition(actual)
+            present = [key for key in part.cluster_keys() if key in wanted]
+            # One cluster-range read per partition: with format v2 the
+            # handle maps only the byte ranges these keys cover (adjacent
+            # clusters coalesce into single slices).  Lazy checksum
+            # verification fires here.
+            targeted = part.read_clusters(present) if present else None
+        except PartitionNotFoundError:
+            raise
+        except StorageError:
+            if self._routed.on_failure != "skip":
+                raise
+            self._failed.append(actual)
+            return None
+        self._loaded.append(actual)
+        # The logical size the DFS registered at write/attach time: the
+        # handle would re-encode its header to recompute it.
+        nbytes = dfs.partition_nbytes(actual)
+        self._data_bytes += nbytes
+        if targeted is not None:
+            self._ids_parts.append(targeted[0])
+            self._val_parts.append(targeted[1])
+        # Remember the rest of the partition for the within-partition
+        # expansion CLIMBER-kNN applies when the node is too small; the
+        # records are only materialised if that happens.
+        other_keys = [key for key in part.cluster_keys() if key not in wanted]
+        cost = self._index._partition_scan_cost(part, nbytes)
+        if other_keys:
+            self._fallback_pool.append(
+                (actual, nbytes, part, other_keys, cost, targeted is not None)
+            )
+        self._scan_costs.append(cost)
+        return targeted
+
+    def finish(self) -> QueryResult:
+        """Expand, refine, charge and record the query; its answer."""
+        index = self._index
+        routed = self._routed
+        probe = routed.probe
+        # The within-partition expansion.  A walk stopped early had k
+        # answers in hand, so at least k targeted records: it never gets
+        # here with a truthy trigger, and the expansion only runs at full
+        # coverage.
+        n_targeted = int(sum(p.shape[0] for p in self._ids_parts))
+        expanded = n_targeted < routed.k and bool(self._fallback_pool)
+        pool = self._fallback_pool if expanded else []
+        with _stage(probe, "read"):
+            for actual, nbytes, part, other_keys, cost, contributed in pool:
+                try:
+                    cid, cval = part.read_clusters(other_keys)
+                except PartitionNotFoundError:
+                    raise
+                except StorageError:
+                    if routed.on_failure != "skip":
+                        raise
+                    if not contributed:
+                        # The partition contributed nothing usable after
+                        # all: retract its load accounting and reclassify
+                        # it as failed.  (A partition whose *targeted*
+                        # clusters were already folded in stays loaded —
+                        # only its expansion read degraded.)
+                        self._loaded.remove(actual)
+                        self._failed.append(actual)
+                        self._data_bytes -= nbytes
+                        self._scan_costs.remove(cost)
+                    continue
+                self._ids_parts.append(cid)
+                self._val_parts.append(cval)
+        if probe is not None:
+            after = index.dfs.counters
+            for name in ("cache_hits", "cache_misses"):
+                probe.add_count(name, getattr(after, name)
+                                - getattr(self._counters_before, name))
+
+        # The canonical refinement: one scan over the candidates
+        # concatenated in visit order, so every consumer's answer has the
+        # same bits (BLAS reduction order and all).
+        with _stage(probe, "refine"):
+            if self._ids_parts:
+                all_ids = np.concatenate(self._ids_parts)
+                all_vals = np.vstack(self._val_parts)
+                ids, dists = knn_bruteforce(routed.query, all_vals, all_ids,
+                                            routed.k)
+            else:
+                ids = np.empty(0, dtype=np.int64)
+                dists = np.empty(0, dtype=np.float64)
+        examined = sum(p.shape[0] for p in self._ids_parts)
+        if probe is not None:
+            probe.add_count("candidates_scored", examined)
+
+        self._sim.run_stage("query/scan", self._scan_costs)
+        report = self._sim.fresh_report()
+        primary = routed.primary
+        stats = QueryStats(
+            variant=routed.variant,
+            k=routed.k,
+            best_od=primary.od,
+            group_ids=tuple(c.entry.group_id for c in routed.candidates),
+            path_len=primary.path_len,
+            gn_size=primary.gn.count,
+            n_selected_nodes=len(self._selected),
+            partitions_loaded=tuple(self._loaded),
+            data_bytes=self._data_bytes,
+            records_examined=examined,
+            expanded_within_partition=expanded,
+            sim_seconds=report.total_seconds,
+            wall_seconds=time.perf_counter() - routed.t0,
+            partitions_failed=tuple(self._failed),
+            partitions_forgone=tuple(
+                actual for actual, _ in self.plan[self.visited:]
+            ),
+        )
+        tel = index.telemetry
+        if tel.enabled:
+            tel.record_query(stats, probe)
+        return QueryResult(ids, dists, stats)
+
+
 class ClimberIndex:
     """A built CLIMBER index over one data series dataset."""
 
@@ -266,21 +494,6 @@ class ClimberIndex:
 
     # -- incremental maintenance ------------------------------------------------
 
-    def _delta_names(self, base_name: str) -> list[str]:
-        """Delta partitions of ``base_name``, discovered by naming convention.
-
-        Appends write ``<base>.d0``, ``<base>.d1``, ... so no registry has
-        to be persisted: a reopened index finds deltas by listing the DFS.
-        A DFS exposing ``delta_partitions`` (the :class:`SimulatedDFS`
-        registry cache) answers from its index instead of rescanning the
-        full partition list on every query.
-        """
-        delta_partitions = getattr(self.dfs, "delta_partitions", None)
-        if delta_partitions is not None:
-            return delta_partitions(base_name)
-        prefix = f"{base_name}.d"
-        return [p for p in self.dfs.list_partitions() if p.startswith(prefix)]
-
     def append(self, dataset: SeriesDataset) -> dict[str, object]:
         """Route new records into the existing index (incremental append).
 
@@ -301,13 +514,9 @@ class ClimberIndex:
         """
         existing = self.dfs.list_partitions()
         if existing:
-            # Header metadata when the DFS maintains it (no payload read,
-            # no logical read charge for a mere length check).
-            series_length = getattr(self.dfs, "series_length", None)
-            if series_length is not None:
-                base_length = series_length(existing[0])
-            else:
-                base_length = self.dfs.read_partition(existing[0]).series_length
+            # Header metadata: no payload read, no logical read charge for
+            # a mere length check.
+            base_length = self.dfs.series_length(existing[0])
             if dataset.length != base_length:
                 raise ConfigurationError(
                     f"appended series length {dataset.length} != indexed "
@@ -334,9 +543,12 @@ class ClimberIndex:
 
         written = []
         written_bytes = 0
+        # Deltas are named ``<base>.d0``, ``<base>.d1``, ... so no registry
+        # has to be persisted: a reopened index finds them by listing the
+        # DFS, whose delta registry answers without a full rescan.
         for pid, start, end, header in parts:
             base = partition_name(pid)
-            seq = len(self._delta_names(base))
+            seq = len(self.dfs.delta_partitions(base))
             delta_id = f"{base}.d{seq}"
             written_bytes += self.dfs.write_partition_arrays(
                 delta_id, dataset.ids, dataset.values, header,
@@ -391,7 +603,7 @@ class ClimberIndex:
         """Reconstruct a queryable index from persisted state.
 
         O(partitions), not O(bytes): record counts come from the DFS
-        partition-header metadata when available, so no payload is read.
+        partition-header metadata, so no payload is read.
         The routing table is rebuilt by the constructor.
 
         Parameters
@@ -419,13 +631,7 @@ class ClimberIndex:
                                   config.decay_rate),
             rng=np.random.default_rng(config.seed),
         )
-        record_count = getattr(dfs, "record_count", None)
-        if record_count is not None:
-            n_records = sum(record_count(p) for p in dfs.list_partitions())
-        else:
-            n_records = sum(
-                dfs.read_partition(p).record_count for p in dfs.list_partitions()
-            )
+        n_records = sum(dfs.record_count(p) for p in dfs.list_partitions())
         artifacts = BuildArtifacts(
             skeleton=skeleton,
             pivot_operand=PivotOperand(loaded.pivots),
@@ -492,22 +698,15 @@ class ClimberIndex:
 
         Returns group count, partition statistics, trie-node totals, and
         the serialised global-index size.  Partition record counts come
-        from DFS metadata when available, so no payloads are read.
+        from DFS metadata, so no payloads are read.
         """
         skeleton = self._art.skeleton
-        record_count = getattr(self.dfs, "record_count", None)
-        if record_count is not None:
-            partition_records = [
-                record_count(p) for p in self.dfs.list_partitions()
-            ]
-        else:
-            partition_records = [
-                self.dfs.read_partition(p).record_count
-                for p in self.dfs.list_partitions()
-            ]
         group_sizes = sorted(
             (g.est_size for g in skeleton.groups), reverse=True
         )
+        partition_records = [
+            self.dfs.record_count(p) for p in self.dfs.list_partitions()
+        ]
         return {
             "records": self.n_records,
             "groups": self.n_groups,
@@ -645,7 +844,8 @@ class ClimberIndex:
         for name in names:
             if dfs.has_partition(name):
                 total += dfs.record_count(name)
-            total += sum(dfs.record_count(d) for d in self._delta_names(name))
+            total += sum(dfs.record_count(d)
+                         for d in dfs.delta_partitions(name))
         return total
 
     @staticmethod
@@ -668,33 +868,34 @@ class ClimberIndex:
         k: int,
         adaptive_factor: int | None,
     ) -> list[tuple[GroupEntry, TrieNode]]:
-        """Stage 3: the per-variant trie-node selection.
+        """Stage 3: the trie nodes a variant searches.
 
-        Shared by :meth:`knn` and :meth:`knn_progressive` so both paths
-        plan from exactly the same node set (the progressive parity
-        oracle depends on it).
+        CLIMBER-kNN searches the primary's GN and OD-Smallest the whole
+        trie of every tied group.  The adaptive variant widens from the
+        primary's GN (:meth:`_expand_adaptive`) only when the GN is
+        estimated, or stored, to hold fewer than ``k`` records.
         """
         if variant == "od-smallest":
             return [(c.entry, c.entry.trie) for c in candidates]
-        if variant == "adaptive":
-            factor = adaptive_factor or self.config.adaptive_factor
-            selected = [(primary.entry, primary.gn)]
-            if (primary.gn.count >= k and self._reachable_records(selected)
-                    >= min(k, self.n_records)):
-                return selected
-            return self._expand_adaptive(primary, candidates, k, factor)
-        return [(primary.entry, primary.gn)]
+        selected = [(primary.entry, primary.gn)]
+        if variant == "knn" or (
+            primary.gn.count >= k
+            and self._reachable_records(selected) >= min(k, self.n_records)
+        ):
+            return selected
+        factor = adaptive_factor or self.config.adaptive_factor
+        return self._expand_adaptive(primary, candidates, k, factor)
 
     def _plan_partition_reads(
         self, selected: list[tuple[GroupEntry, TrieNode]]
-    ) -> dict[str, list[str]]:
-        """Partitions covering the selected nodes, with their target keys.
+    ) -> list[tuple[str, set[str]]]:
+        """The physical partitions covering the selected nodes, in visit order.
 
         One batch ``covering_partitions`` call per involved group resolves
         every selected subtree's partition set from the flat leaf tables.
-        Returns ``{base partition name: [cluster keys wanted]}``; readers
-        iterate it in sorted order — that iteration order *is* the routed
-        plan a progressive query streams through.
+        Returns ``(partition, cluster keys wanted)`` pairs: base partitions
+        in sorted name order, each base (when stored) before its delta
+        partitions, which share its keys.
         """
         flat_tries = self._routing.flat.tries
         by_group: dict[int, list[TrieNode]] = {}
@@ -706,17 +907,21 @@ class ClimberIndex:
             nids = [ft.id_of(n) for n in group_nodes]
             for node, pids in zip(group_nodes, ft.covering_partitions(nids)):
                 covering[(gid, id(node))] = pids
-        to_load: dict[str, list[str]] = {}
+        wanted: dict[str, set[str]] = {}
         for entry, node in selected:
-            pids = set(
-                int(p) for p in covering[(entry.group_id, id(node))]
-            )
+            pids = set(covering[(entry.group_id, id(node))].tolist())
             if not node.is_leaf or node.depth == 0:
                 pids.add(entry.default_partition)
             keys = self._target_keys(entry, node)
-            for pid in sorted(pids):
-                to_load.setdefault(partition_name(pid), []).extend(keys)
-        return to_load
+            for pid in pids:
+                wanted.setdefault(partition_name(pid), set()).update(keys)
+        dfs = self.dfs
+        plan = []
+        for name in sorted(wanted):
+            physical = [name] if dfs.has_partition(name) else []
+            physical += dfs.delta_partitions(name)
+            plan.extend((actual, wanted[name]) for actual in physical)
+        return plan
 
     # -- record-level search ------------------------------------------------------------
 
@@ -762,15 +967,18 @@ class ClimberIndex:
             ),
         )
 
-    @staticmethod
-    def _validate_query_args(k: int, variant: str) -> None:
+    def _validate_query_args(
+        self, k: int, variant: str, on_partition_failure: str | None
+    ) -> str:
+        """Reject bad arguments; resolve the degraded-query mode.
+
+        The mode comes from the explicit argument, then the config, then
+        ``"raise"``.
+        """
         if k < 1:
             raise ConfigurationError("k must be >= 1")
         if variant not in ("knn", "adaptive", "od-smallest"):
             raise ConfigurationError(f"unknown variant {variant!r}")
-
-    def _resolve_on_failure(self, on_partition_failure: str | None) -> str:
-        """Degraded-query mode: explicit argument → config → ``"raise"``."""
         if on_partition_failure is None:
             return self.config.effective_on_partition_failure
         if on_partition_failure not in ("raise", "skip"):
@@ -779,6 +987,146 @@ class ClimberIndex:
                 f"got {on_partition_failure!r}"
             )
         return on_partition_failure
+
+    def _route_query(
+        self,
+        query: np.ndarray,
+        k: int,
+        variant: str,
+        adaptive_factor: int | None,
+        on_partition_failure: str | None,
+        probe: QueryProbe | None,
+    ) -> _RoutedQuery:
+        """Stages 1-2 of one query: signature, routing, primary selection.
+
+        The preamble of :meth:`knn` and :meth:`knn_progressive`.  It runs
+        at call time and consumes the index RNG stream (one
+        :meth:`select_primary`) before any partition is read.
+        """
+        on_failure = self._validate_query_args(k, variant, on_partition_failure)
+        if probe is None:
+            probe = self._tel.probe()
+        t0 = time.perf_counter()
+        with _stage(probe, "signature"):
+            ranked = self.query_signature(query)
+        with _stage(probe, "route"):
+            candidates = self.group_candidates(
+                ranked, od_slack=1 if variant == "adaptive" else 0
+            )
+            primary = self.select_primary(candidates)
+        return _RoutedQuery(
+            np.asarray(query, dtype=np.float64), k, variant, adaptive_factor,
+            on_failure, candidates, primary, t0, probe,
+        )
+
+    def _run_batch(
+        self,
+        queries: np.ndarray,
+        k: int,
+        variant: str,
+        adaptive_factor: int | None,
+        on_partition_failure: str | None,
+        probes: list[QueryProbe] | None,
+        consume: Callable[[_RoutedQuery], object],
+    ) -> list:
+        """Stages 1-2 for a whole batch, then ``consume`` on every row.
+
+        The preamble and fan-out of :meth:`knn_batch` and
+        :meth:`knn_batch_progressive`, whose rows differ only in the
+        consumer that walks them.  Returns ``consume``'s results in row
+        order (``[]`` for an empty batch).
+        """
+        on_failure = self._validate_query_args(k, variant, on_partition_failure)
+        arr = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+        if arr.shape[0] == 0:
+            return []
+        tel = self._tel
+        explicit = probes is not None
+        # Per-row probes: explicit (explain_query) or implicit when
+        # telemetry is enabled.  Under probe sampling individual entries
+        # may be None (that row records only query.count).  The shared
+        # signature/routing work is amortised evenly across the rows'
+        # live probes, mirroring the shared_share treatment of
+        # wall_seconds below.
+        if probes is None and tel.enabled:
+            probes = [tel.probe() for _ in range(arr.shape[0])]
+        if probes is not None and len(probes) != arr.shape[0]:
+            raise ConfigurationError(
+                f"{len(probes)} probes for {arr.shape[0]} query rows"
+            )
+        # Shared spans are split across *live* probes, not rows: under
+        # probe sampling the sampled-out rows carry no stage breakdown,
+        # and dividing by the row count would make the live probes'
+        # stage sums under-report the measured span (the invariant
+        # pinned in tests/test_obs.py).
+        live = [probe for probe in probes or () if probe is not None]
+
+        def share(stage: str, seconds: float) -> None:
+            if not live:
+                return
+            if tel.enabled:
+                tel.registry.histogram(f"query.batch.{stage}_s").observe(seconds)
+            for probe in live:
+                probe.add_stage(stage, seconds / len(live))
+
+        t0 = time.perf_counter()
+        paa = paa_transform(arr, self.config.word_length)
+        ranked = permutation_prefixes(
+            paa, self._art.pivot_operand, self.config.prefix_length
+        )
+        share("signature", time.perf_counter() - t0)
+        od_slack = 1 if variant == "adaptive" else 0
+        # Identical signatures route identically, so the OD/WD matrices are
+        # computed once per *distinct* signature and fanned back out.  Row
+        # results are independent of batch composition, so each query sees
+        # bit-identical distances with or without the deduplication.
+        uniq, inverse = np.unique(ranked, axis=0, return_inverse=True)
+        inverse = np.asarray(inverse).reshape(-1)
+        od, wd = self._routing.distance_matrices(uniq)
+        # Phase split: candidates + primary selection for every row first —
+        # select_primary is the only _rng consumer, so running it serially
+        # in row order pins the RNG stream to the serial sweep's — then the
+        # RNG-free shard walks.
+        t_route = time.perf_counter()
+        candidates_of = [
+            self._routing.candidates(
+                ranked[i], od[row], wd[row], od_slack=od_slack
+            )
+            for i, row in enumerate(inverse.tolist())
+        ]
+        primaries = [self.select_primary(c) for c in candidates_of]
+        share("route", time.perf_counter() - t_route)
+        # The shared signature/routing span is amortised evenly over the
+        # rows so per-query wall_seconds stay comparable to knn's.
+        shared_share = (time.perf_counter() - t0) / arr.shape[0]
+
+        def run_shard(span):
+            start, end = span
+            return [
+                consume(_RoutedQuery(
+                    arr[i], k, variant, adaptive_factor, on_failure,
+                    candidates_of[i], primaries[i],
+                    time.perf_counter() - shared_share,
+                    probes[i] if probes is not None else None,
+                ))
+                for i in range(start, end)
+            ]
+
+        cfg = self.config
+        if explicit:
+            # Explicitly probed batches (explain_query) run serially so
+            # per-row DFS cache-delta attribution is exact — concurrent
+            # shards would interleave hits/misses across rows.
+            executor = SerialExecutor()
+        else:
+            executor = make_executor(cfg.executor, cfg.effective_n_workers,
+                                     require_shared_memory=True)
+        with executor:
+            shards = executor.map(
+                tel.wrap_tasks("query.shard", run_shard),
+                split_ranges(arr.shape[0], _QUERY_SHARD_ROWS),
+            )
+        return [result for shard in shards for result in shard]
 
     def knn(
         self,
@@ -813,25 +1161,9 @@ class ClimberIndex:
             (:class:`~repro.exceptions.PartitionNotFoundError`) always
             raises — that is index/store inconsistency, not a fault.
         """
-        self._validate_query_args(k, variant)
-        on_failure = self._resolve_on_failure(on_partition_failure)
-        probe = _probe if _probe is not None else self._tel.probe()
-        t0 = time.perf_counter()
-        od_slack = 1 if variant == "adaptive" else 0
-        if probe is None:
-            ranked = self.query_signature(query)
-            candidates = self.group_candidates(ranked, od_slack=od_slack)
-        else:
-            with probe.stage("signature"):
-                ranked = self.query_signature(query)
-            with probe.stage("route"):
-                candidates = self.group_candidates(ranked, od_slack=od_slack)
-        return self._knn_routed(
-            np.asarray(query, dtype=np.float64),
-            k, variant, adaptive_factor, candidates, t0,
-            probe=probe,
-            on_failure=on_failure,
-        )
+        return self._knn_routed(self._route_query(
+            query, k, variant, adaptive_factor, on_partition_failure, _probe
+        ))
 
     def knn_batch(
         self,
@@ -867,318 +1199,21 @@ class ClimberIndex:
         ``cache_hits``/``cache_misses`` split may shift with worker
         interleaving, as any real cache's would.
         """
-        self._validate_query_args(k, variant)
-        on_failure = self._resolve_on_failure(on_partition_failure)
-        arr = np.asarray(queries, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        if arr.shape[0] == 0:
-            return []
-        tel = self._tel
-        # Per-row probes: explicit (explain_query) or implicit when
-        # telemetry is enabled.  Under probe sampling individual entries
-        # may be None (that row records only query.count); when every row
-        # is sampled out the list collapses to None.  The shared
-        # signature/routing work is amortised evenly across the rows'
-        # live probes, mirroring the shared_share treatment of
-        # wall_seconds below.
-        probes = _probes
-        if probes is None and tel.enabled:
-            probes = [tel.probe() for _ in range(arr.shape[0])]
-            if not any(probe is not None for probe in probes):
-                probes = None
-        if probes is not None and len(probes) != arr.shape[0]:
-            raise ConfigurationError(
-                f"{len(probes)} probes for {arr.shape[0]} query rows"
-            )
-        # Shared spans are split across *live* probes, not rows: under
-        # probe sampling the sampled-out rows carry no stage breakdown,
-        # and dividing by the row count would make the live probes'
-        # stage sums under-report the measured span (the invariant
-        # pinned in tests/test_obs.py).
-        live_probes = (
-            sum(1 for probe in probes if probe is not None)
-            if probes is not None else 0
+        return self._run_batch(
+            queries, k, variant, adaptive_factor, on_partition_failure,
+            _probes, self._knn_routed,
         )
-        t0 = time.perf_counter()
-        paa = paa_transform(arr, self.config.word_length)
-        ranked = permutation_prefixes(
-            paa, self._art.pivot_operand, self.config.prefix_length
-        )
-        if probes is not None:
-            sig_s = time.perf_counter() - t0
-            if tel.enabled:
-                tel.registry.histogram("query.batch.signature_s").observe(sig_s)
-            for probe in probes:
-                if probe is not None:
-                    probe.add_stage("signature", sig_s / live_probes)
-        od_slack = 1 if variant == "adaptive" else 0
-        # Identical signatures route identically, so the OD/WD matrices are
-        # computed once per *distinct* signature and fanned back out.  Row
-        # results are independent of batch composition, so each query sees
-        # bit-identical distances with or without the deduplication.
-        uniq, inverse = np.unique(ranked, axis=0, return_inverse=True)
-        inverse = np.asarray(inverse).reshape(-1)
-        od, wd = self._routing.distance_matrices(uniq)
-        # Phase split: candidates + primary selection for every row first —
-        # select_primary is the only _rng consumer, so running it serially
-        # in row order pins the RNG stream to the serial sweep's — then the
-        # RNG-free shard scans.
-        candidates_of = []
-        primaries = []
-        t_route = time.perf_counter()
-        for i in range(arr.shape[0]):
-            row = int(inverse[i])
-            candidates_of.append(
-                self._routing.candidates(
-                    ranked[i], od[row], wd[row], od_slack=od_slack
-                )
-            )
-            primaries.append(self.select_primary(candidates_of[-1]))
-        if probes is not None:
-            route_s = time.perf_counter() - t_route
-            if tel.enabled:
-                tel.registry.histogram("query.batch.route_s").observe(route_s)
-            for probe in probes:
-                if probe is not None:
-                    probe.add_stage("route", route_s / live_probes)
-        # The shared signature/routing span is amortised evenly over the
-        # rows so per-query wall_seconds stay comparable to knn's.
-        shared_share = (time.perf_counter() - t0) / arr.shape[0]
 
-        def run_shard(span):
-            start, end = span
-            return [
-                self._knn_routed(
-                    arr[i], k, variant, adaptive_factor, candidates_of[i],
-                    time.perf_counter() - shared_share,
-                    primary=primaries[i],
-                    probe=probes[i] if probes is not None else None,
-                    on_failure=on_failure,
-                )
-                for i in range(start, end)
-            ]
+    def _knn_routed(self, routed: _RoutedQuery) -> QueryResult:
+        """The plain consumer of the walk: visit the whole plan, then refine.
 
-        cfg = self.config
-        if _probes is not None:
-            # Explicitly probed batches (explain_query) run serially so
-            # per-row DFS cache-delta attribution is exact — concurrent
-            # shards would interleave hits/misses across rows.
-            executor = SerialExecutor()
-        else:
-            executor = make_executor(cfg.executor, cfg.effective_n_workers,
-                                     require_shared_memory=True)
-        with executor:
-            shards = executor.map(
-                tel.wrap_tasks("query.shard", run_shard),
-                split_ranges(arr.shape[0], _QUERY_SHARD_ROWS),
-            )
-        return [result for shard in shards for result in shard]
-
-    def _knn_routed(
-        self,
-        query: np.ndarray,
-        k: int,
-        variant: str,
-        adaptive_factor: int | None,
-        candidates: list[GroupCandidate],
-        t0: float,
-        primary: GroupCandidate | None = None,
-        probe: QueryProbe | None = None,
-        on_failure: str = "raise",
-    ) -> QueryResult:
-        """Stages 3-4 of the pipeline: node selection + record scan.
-
-        ``primary`` may be precomputed by the caller (the batch pipeline
-        selects primaries for all rows serially, pinning the RNG stream,
-        before fanning the RNG-free remainder out to worker shards);
-        when omitted it is selected here, consuming ``self._rng``.
-
-        ``probe`` (when given) collects the select/read/refine stage
-        timings and the per-query DFS cache hit/miss delta.  Probing is
-        observation only — the answer set, stats and counters are
-        bit-identical with or without it; the cache delta is exact when
-        rows run serially and approximate under concurrent shards (other
-        rows' hits/misses interleave, as any shared cache's do).
-
-        ``on_failure="skip"`` degrades gracefully: a partition whose read
-        (or whose later payload materialisation — lazy checksum
-        verification fires on the first cluster read) raises a
-        :class:`~repro.exceptions.StorageError` is dropped from the
-        candidate set and recorded in ``stats.partitions_failed`` instead
-        of aborting the query.  :class:`PartitionNotFoundError` is never
-        skipped — a referenced-but-absent partition is index/store
-        inconsistency, not a transient fault.
+        Scores no partition on its own; the answer is refined once, over
+        every candidate read, by :meth:`_Walk.finish`.
         """
-        sim = ClusterSimulator(self.model)
-        cfg = self.config
-        if probe is not None:
-            t_mark = time.perf_counter()
-        if primary is None:
-            primary = self.select_primary(candidates)
-
-        # Driver-side routing: signature of one query object plus a linear
-        # scan of the group list.  Independent of the data volume, so it is
-        # *not* scaled by cost_scale (the group list itself grows only with
-        # the signature space, paper §VII-B).
-        sim.run_driver_step(
-            "query/route",
-            TaskCost(
-                cpu_ops=int(
-                    ops_signature(cfg.n_pivots, cfg.word_length, cfg.prefix_length)
-                    + self.n_groups * cfg.prefix_length * 8
-                )
-            ),
-        )
-
-        selected = self._select_nodes(
-            variant, primary, candidates, k, adaptive_factor
-        )
-        to_load = self._plan_partition_reads(selected)
-
-        if probe is not None:
-            now = time.perf_counter()
-            probe.add_stage("select", now - t_mark)
-            t_mark = now
-            counters_before = getattr(self.dfs, "counters", None)
-
-        ids_parts: list[np.ndarray] = []
-        val_parts: list[np.ndarray] = []
-        loaded = []
-        failed: list[str] = []
-        data_bytes = 0
-        scan_costs = []
-        fallback_pool: list[tuple] = []
-        for pname in sorted(to_load):
-            wanted = set(to_load[pname])
-            # Base partition plus any delta partitions appended later.
-            physical = ([pname] if self.dfs.has_partition(pname) else [])
-            physical += self._delta_names(pname)
-            for actual in physical:
-                # All per-partition reads (open + targeted cluster ranges)
-                # succeed or fail atomically from this query's view: a
-                # failure after retry exhaustion either aborts the query
-                # (mode "raise") or drops the whole partition (mode
-                # "skip") — never a half-read partition.
-                try:
-                    part = self.dfs.read_partition(actual)
-                    present = [
-                        key for key in part.cluster_keys() if key in wanted
-                    ]
-                    cid = cval = None
-                    if present:
-                        # One cluster-range read per partition: with format
-                        # v2 the handle maps only the byte ranges these keys
-                        # cover (adjacent clusters coalesce into single
-                        # slices).  Lazy checksum verification fires here.
-                        cid, cval = part.read_clusters(present)
-                except PartitionNotFoundError:
-                    raise
-                except StorageError:
-                    if on_failure != "skip":
-                        raise
-                    failed.append(actual)
-                    continue
-                loaded.append(actual)
-                # The logical size the DFS registered at write/attach time:
-                # the handle would re-encode its header to recompute it.
-                nbytes = self.dfs.partition_nbytes(actual)
-                data_bytes += nbytes
-                if cid is not None:
-                    ids_parts.append(cid)
-                    val_parts.append(cval)
-                # Remember the rest of the partition for the within-partition
-                # expansion CLIMBER-kNN applies when the node is too small;
-                # the records are only materialised if that happens.
-                other_keys = [
-                    key for key in part.cluster_keys() if key not in wanted
-                ]
-                cost = self._partition_scan_cost(part, nbytes)
-                if other_keys:
-                    fallback_pool.append(
-                        (actual, nbytes, part, other_keys, cost,
-                         cid is not None)
-                    )
-                scan_costs.append(cost)
-
-        n_targeted = int(sum(p.shape[0] for p in ids_parts))
-        expanded = False
-        if n_targeted < k and fallback_pool:
-            expanded = True
-            for (actual, nbytes, part, other_keys, cost,
-                 contributed) in fallback_pool:
-                try:
-                    cid, cval = part.read_clusters(other_keys)
-                except PartitionNotFoundError:
-                    raise
-                except StorageError:
-                    if on_failure != "skip":
-                        raise
-                    if not contributed:
-                        # The partition contributed nothing usable after
-                        # all: retract its load accounting and reclassify
-                        # it as failed.  (A partition whose *targeted*
-                        # clusters were already folded in stays loaded —
-                        # only its expansion read degraded.)
-                        loaded.remove(actual)
-                        failed.append(actual)
-                        data_bytes -= nbytes
-                        scan_costs.remove(cost)
-                    continue
-                ids_parts.append(cid)
-                val_parts.append(cval)
-
-        if probe is not None:
-            now = time.perf_counter()
-            probe.add_stage("read", now - t_mark)
-            t_mark = now
-            if counters_before is not None:
-                counters_after = self.dfs.counters
-                probe.add_count(
-                    "cache_hits",
-                    counters_after.cache_hits - counters_before.cache_hits,
-                )
-                probe.add_count(
-                    "cache_misses",
-                    counters_after.cache_misses - counters_before.cache_misses,
-                )
-
-        if ids_parts:
-            all_ids = np.concatenate(ids_parts)
-            all_vals = np.vstack(val_parts)
-            ids, dists = knn_bruteforce(query, all_vals, all_ids, k)
-            examined = int(all_ids.shape[0])
-        else:
-            ids = np.empty(0, dtype=np.int64)
-            dists = np.empty(0, dtype=np.float64)
-            examined = 0
-
-        if probe is not None:
-            probe.add_stage("refine", time.perf_counter() - t_mark)
-            probe.add_count("candidates_scored", examined)
-
-        sim.run_stage("query/scan", scan_costs)
-        report = sim.fresh_report()
-        stats = QueryStats(
-            variant=variant,
-            k=k,
-            best_od=primary.od,
-            group_ids=tuple(c.entry.group_id for c in candidates),
-            path_len=primary.path_len,
-            gn_size=primary.gn.count,
-            n_selected_nodes=len(selected),
-            partitions_loaded=tuple(loaded),
-            data_bytes=data_bytes,
-            records_examined=examined,
-            expanded_within_partition=expanded,
-            sim_seconds=report.total_seconds,
-            wall_seconds=time.perf_counter() - t0,
-            partitions_failed=tuple(failed),
-        )
-        tel = self._tel
-        if tel.enabled:
-            tel.record_query(stats, probe)
-        return QueryResult(ids, dists, stats)
+        walk = _Walk(self, routed)
+        for _ in walk.visits():
+            pass
+        return walk.finish()
 
     # -- progressive queries -----------------------------------------------------------
 
@@ -1231,16 +1266,17 @@ class ClimberIndex:
     ) -> Iterator[ProgressiveUpdate]:
         """Progressive kNN: stream improving answers partition by partition.
 
-        The routed plan of the equivalent :meth:`knn` call is walked in
-        its promise order, yielding one
+        Walks the routed plan of the equivalent :meth:`knn` call in the
+        same order — base partitions by sorted name, each base before its
+        delta partitions — yielding one
         :class:`~repro.core.progressive.ProgressiveUpdate` per physical
         partition visited (running top-k, improvement, stability) and a
         final update carrying the full :class:`QueryStats`.  With
         ``early_stop`` disabled the final update is **bit-identical** to
         :meth:`knn` — same ids, distances, stats fields (bar
-        ``wall_seconds``) and logical DFS counters — because both paths
-        share the planner and the final answer is recomputed over the
-        candidate set concatenated in :meth:`knn`'s canonical order.
+        ``wall_seconds``) and logical DFS counters — because both consume
+        the same walk, whose final answer is refined once over the
+        candidates in visit order.
 
         Parameters beyond :meth:`knn`'s
         ------------------------------
@@ -1261,27 +1297,11 @@ class ClimberIndex:
         (consuming the index RNG stream exactly like :meth:`knn`); only
         the partition visits are lazy.
         """
-        self._validate_query_args(k, variant)
-        on_failure = self._resolve_on_failure(on_partition_failure)
         rule = self._resolve_stop_rule(early_stop, confidence)
-        probe = _probe if _probe is not None else self._tel.probe()
-        t0 = time.perf_counter()
-        od_slack = 1 if variant == "adaptive" else 0
-        if probe is None:
-            ranked = self.query_signature(query)
-            candidates = self.group_candidates(ranked, od_slack=od_slack)
-        else:
-            with probe.stage("signature"):
-                ranked = self.query_signature(query)
-            with probe.stage("route"):
-                candidates = self.group_candidates(ranked, od_slack=od_slack)
-        primary = self.select_primary(candidates)
-        return self._knn_progressive_routed(
-            np.asarray(query, dtype=np.float64),
-            k, variant, adaptive_factor, candidates, t0, rule,
-            primary=primary,
-            probe=probe,
-            on_failure=on_failure,
+        return self._progressive_updates(
+            self._route_query(query, k, variant, adaptive_factor,
+                              on_partition_failure, _probe),
+            rule,
         )
 
     def knn_batch_progressive(
@@ -1307,234 +1327,54 @@ class ClimberIndex:
         the answer, its stats and the forgone coverage.  With stopping
         disabled every row is bit-identical to :meth:`knn_batch`.
         """
-        self._validate_query_args(k, variant)
-        on_failure = self._resolve_on_failure(on_partition_failure)
         rule = self._resolve_stop_rule(early_stop, confidence)
-        arr = np.asarray(queries, dtype=np.float64)
-        if arr.ndim == 1:
-            arr = arr.reshape(1, -1)
-        if arr.shape[0] == 0:
-            return []
-        tel = self._tel
-        probes = _probes
-        if probes is None and tel.enabled:
-            probes = [tel.probe() for _ in range(arr.shape[0])]
-            if not any(probe is not None for probe in probes):
-                probes = None
-        if probes is not None and len(probes) != arr.shape[0]:
-            raise ConfigurationError(
-                f"{len(probes)} probes for {arr.shape[0]} query rows"
-            )
-        live_probes = (
-            sum(1 for probe in probes if probe is not None)
-            if probes is not None else 0
+
+        def final_update(routed: _RoutedQuery) -> ProgressiveUpdate:
+            for update in self._progressive_updates(routed, rule):
+                pass
+            return update
+
+        return self._run_batch(
+            queries, k, variant, adaptive_factor, on_partition_failure,
+            _probes, final_update,
         )
-        t0 = time.perf_counter()
-        paa = paa_transform(arr, self.config.word_length)
-        ranked = permutation_prefixes(
-            paa, self._art.pivot_operand, self.config.prefix_length
-        )
-        if probes is not None:
-            sig_s = time.perf_counter() - t0
-            if tel.enabled:
-                tel.registry.histogram("query.batch.signature_s").observe(sig_s)
-            for probe in probes:
-                if probe is not None:
-                    probe.add_stage("signature", sig_s / live_probes)
-        od_slack = 1 if variant == "adaptive" else 0
-        uniq, inverse = np.unique(ranked, axis=0, return_inverse=True)
-        inverse = np.asarray(inverse).reshape(-1)
-        od, wd = self._routing.distance_matrices(uniq)
-        candidates_of = []
-        primaries = []
-        t_route = time.perf_counter()
-        for i in range(arr.shape[0]):
-            row = int(inverse[i])
-            candidates_of.append(
-                self._routing.candidates(
-                    ranked[i], od[row], wd[row], od_slack=od_slack
-                )
-            )
-            primaries.append(self.select_primary(candidates_of[-1]))
-        if probes is not None:
-            route_s = time.perf_counter() - t_route
-            if tel.enabled:
-                tel.registry.histogram("query.batch.route_s").observe(route_s)
-            for probe in probes:
-                if probe is not None:
-                    probe.add_stage("route", route_s / live_probes)
-        shared_share = (time.perf_counter() - t0) / arr.shape[0]
 
-        def run_shard(span):
-            start, end = span
-            out = []
-            for i in range(start, end):
-                walk = self._knn_progressive_routed(
-                    arr[i], k, variant, adaptive_factor, candidates_of[i],
-                    time.perf_counter() - shared_share, rule,
-                    primary=primaries[i],
-                    probe=probes[i] if probes is not None else None,
-                    on_failure=on_failure,
-                )
-                final = None
-                for final in walk:
-                    pass
-                out.append(final)
-            return out
-
-        cfg = self.config
-        if _probes is not None:
-            executor = SerialExecutor()
-        else:
-            executor = make_executor(cfg.executor, cfg.effective_n_workers,
-                                     require_shared_memory=True)
-        with executor:
-            shards = executor.map(
-                tel.wrap_tasks("query.shard", run_shard),
-                split_ranges(arr.shape[0], _QUERY_SHARD_ROWS),
-            )
-        return [update for shard in shards for update in shard]
-
-    def _knn_progressive_routed(
-        self,
-        query: np.ndarray,
-        k: int,
-        variant: str,
-        adaptive_factor: int | None,
-        candidates: list[GroupCandidate],
-        t0: float,
-        rule: StopRule | None,
-        primary: GroupCandidate | None = None,
-        probe: QueryProbe | None = None,
-        on_failure: str = "raise",
+    def _progressive_updates(
+        self, routed: _RoutedQuery, rule: StopRule | None
     ) -> Iterator[ProgressiveUpdate]:
-        """The progressive walk over :meth:`_knn_routed`'s exact plan.
+        """The progressive consumer of the walk.
 
-        Parity discipline: planning (``_select_nodes`` +
-        ``_plan_partition_reads``), the per-partition read/skip semantics,
-        the within-partition expansion trigger and the cost accounting all
-        replicate ``_knn_routed`` statement for statement, in the same
-        order.  Intermediate top-k states come from per-partition
-        ``knn_bruteforce`` merged via ``knn_merge`` (exact over the
-        candidates seen so far); the *final* answer is recomputed from the
-        candidate arrays concatenated in the canonical visit order — the
-        identical computation ``_knn_routed`` performs — so full-coverage
-        runs are bit-identical to :meth:`knn` down to the distance ulps.
+        Keeps a running top-k over the partitions seen so far (each
+        visit's candidates scored by ``knn_bruteforce`` and folded in by
+        ``knn_merge``), yields it after every visit, and stops the walk
+        when ``rule`` fires.  The final update carries the walk's own
+        answer, refined over every candidate read, so a run that visits
+        the whole plan answers exactly like :meth:`knn`.
         """
-        sim = ClusterSimulator(self.model)
-        cfg = self.config
-        if probe is not None:
-            t_mark = time.perf_counter()
-        if primary is None:
-            primary = self.select_primary(candidates)
-
-        sim.run_driver_step(
-            "query/route",
-            TaskCost(
-                cpu_ops=int(
-                    ops_signature(cfg.n_pivots, cfg.word_length, cfg.prefix_length)
-                    + self.n_groups * cfg.prefix_length * 8
-                )
-            ),
-        )
-
-        selected = self._select_nodes(
-            variant, primary, candidates, k, adaptive_factor
-        )
-        to_load = self._plan_partition_reads(selected)
-
-        # The routed plan as physical partitions, in exactly the order
-        # _knn_routed's read loop visits them: sorted base names, each
-        # base (when present) before its delta partitions.
-        plan: list[tuple[str, str]] = []
-        for pname in sorted(to_load):
-            physical = ([pname] if self.dfs.has_partition(pname) else [])
-            physical += self._delta_names(pname)
-            for actual in physical:
-                plan.append((pname, actual))
-        n_planned = len(plan)
-
-        if probe is not None:
-            now = time.perf_counter()
-            probe.add_stage("select", now - t_mark)
-            counters_before = getattr(self.dfs, "counters", None)
-
-        ids_parts: list[np.ndarray] = []
-        val_parts: list[np.ndarray] = []
-        loaded = []
-        failed: list[str] = []
-        data_bytes = 0
-        scan_costs = []
-        fallback_pool: list[tuple] = []
+        walk = _Walk(self, routed)
+        k = routed.k
+        n_planned = len(walk.plan)
         run_ids = np.empty(0, dtype=np.int64)
         run_dists = np.empty(0, dtype=np.float64)
+        kth = float("inf")
         stable = 0
-        visited = 0
         stopped = False
-
-        for pname, actual in plan:
-            wanted = set(to_load[pname])
-            if probe is not None:
-                t_read = time.perf_counter()
-            step_failed = False
-            cid = cval = None
-            try:
-                part = self.dfs.read_partition(actual)
-                present = [
-                    key for key in part.cluster_keys() if key in wanted
-                ]
-                if present:
-                    cid, cval = part.read_clusters(present)
-            except PartitionNotFoundError:
-                raise
-            except StorageError:
-                if on_failure != "skip":
-                    raise
-                failed.append(actual)
-                step_failed = True
-            if not step_failed:
-                loaded.append(actual)
-                nbytes = self.dfs.partition_nbytes(actual)
-                data_bytes += nbytes
-                if cid is not None:
-                    ids_parts.append(cid)
-                    val_parts.append(cval)
-                other_keys = [
-                    key for key in part.cluster_keys() if key not in wanted
-                ]
-                cost = self._partition_scan_cost(part, nbytes)
-                if other_keys:
-                    fallback_pool.append(
-                        (actual, nbytes, part, other_keys, cost,
-                         cid is not None)
-                    )
-                scan_costs.append(cost)
-            if probe is not None:
-                probe.add_stage("read", time.perf_counter() - t_read)
-            visited += 1
-
-            prev_kth = (
-                float(run_dists[k - 1])
-                if run_dists.shape[0] >= k else float("inf")
-            )
+        for targeted in walk.visits():
+            prev_kth = kth
             new_neighbors = 0
             changed = False
-            if not step_failed and cid is not None and cid.shape[0]:
-                part_ids, part_d = knn_bruteforce(query, cval, cid, k)
+            if targeted is not None and targeted[0].shape[0]:
+                cid, cval = targeted
+                part_ids, part_d = knn_bruteforce(routed.query, cval, cid, k)
                 new_ids, new_d = knn_merge(
                     [(run_ids, run_dists), (part_ids, part_d)], k
                 )
                 entered = np.isin(new_ids, run_ids, invert=True)
                 new_neighbors = int(np.count_nonzero(entered))
-                changed = not (
-                    new_ids.shape[0] == run_ids.shape[0]
-                    and np.array_equal(new_ids, run_ids)
-                )
+                changed = not np.array_equal(new_ids, run_ids)
                 run_ids, run_dists = new_ids, new_d
-            kth = (
-                float(run_dists[k - 1])
-                if run_dists.shape[0] >= k else float("inf")
-            )
+                if run_dists.shape[0] >= k:
+                    kth = float(run_dists[k - 1])
             # A failed (skipped) partition cannot improve the answer, so
             # it counts toward the stable streak like an unchanged read.
             stable = 0 if changed else stable + 1
@@ -1547,113 +1387,34 @@ class ClimberIndex:
                 ids=run_ids,
                 distances=run_dists,
                 k=k,
-                partitions_visited=visited,
+                partitions_visited=walk.visited,
                 partitions_planned=n_planned,
                 new_neighbors=new_neighbors,
                 kth_distance=kth,
                 improvement=improvement,
                 stable_steps=stable,
-                stability=stable / visited,
+                stability=stable / walk.visited,
                 done=False,
             )
             if rule is not None and rule.should_stop(
-                run_ids.shape[0] >= k, visited, stable
+                run_ids.shape[0] >= k, walk.visited, stable
             ):
                 # A rule firing on the last planned partition forgoes
                 # nothing — that is a full-coverage answer, not an early
                 # stop, so the flag (and the early_stops counter) stays
                 # down.
-                stopped = visited < n_planned
+                stopped = walk.visited < n_planned
                 break
 
-        forgone = tuple(actual for _, actual in plan[visited:])
-
-        # Within-partition expansion, exactly as _knn_routed applies it.
-        # The stop rule requires k answers in hand, and fewer than k
-        # targeted records means fewer than k in hand, so an early-stopped
-        # walk can never reach this with a truthy trigger — the expansion
-        # only ever runs at full coverage, where it must mirror knn.
-        n_targeted = int(sum(p.shape[0] for p in ids_parts))
-        expanded = False
-        if n_targeted < k and fallback_pool:
-            expanded = True
-            if probe is not None:
-                t_read = time.perf_counter()
-            for (actual, nbytes, part, other_keys, cost,
-                 contributed) in fallback_pool:
-                try:
-                    cid, cval = part.read_clusters(other_keys)
-                except PartitionNotFoundError:
-                    raise
-                except StorageError:
-                    if on_failure != "skip":
-                        raise
-                    if not contributed:
-                        loaded.remove(actual)
-                        failed.append(actual)
-                        data_bytes -= nbytes
-                        scan_costs.remove(cost)
-                    continue
-                ids_parts.append(cid)
-                val_parts.append(cval)
-            if probe is not None:
-                probe.add_stage("read", time.perf_counter() - t_read)
-
-        if probe is not None:
-            if counters_before is not None:
-                counters_after = self.dfs.counters
-                probe.add_count(
-                    "cache_hits",
-                    counters_after.cache_hits - counters_before.cache_hits,
-                )
-                probe.add_count(
-                    "cache_misses",
-                    counters_after.cache_misses - counters_before.cache_misses,
-                )
-            t_mark = time.perf_counter()
-
-        # Final answer: the canonical concatenated refinement — the same
-        # arrays in the same order _knn_routed concatenates, so the
-        # distances match knn's to the bit (BLAS reduction order and all).
-        if ids_parts:
-            all_ids = np.concatenate(ids_parts)
-            all_vals = np.vstack(val_parts)
-            ids, dists = knn_bruteforce(query, all_vals, all_ids, k)
-            examined = int(all_ids.shape[0])
-        else:
-            ids = np.empty(0, dtype=np.int64)
-            dists = np.empty(0, dtype=np.float64)
-            examined = 0
-
-        if probe is not None:
-            probe.add_stage("refine", time.perf_counter() - t_mark)
-            probe.add_count("candidates_scored", examined)
-
-        sim.run_stage("query/scan", scan_costs)
-        report = sim.fresh_report()
-        stats = QueryStats(
-            variant=variant,
-            k=k,
-            best_od=primary.od,
-            group_ids=tuple(c.entry.group_id for c in candidates),
-            path_len=primary.path_len,
-            gn_size=primary.gn.count,
-            n_selected_nodes=len(selected),
-            partitions_loaded=tuple(loaded),
-            data_bytes=data_bytes,
-            records_examined=examined,
-            expanded_within_partition=expanded,
-            sim_seconds=report.total_seconds,
-            wall_seconds=time.perf_counter() - t0,
-            partitions_failed=tuple(failed),
-            partitions_forgone=forgone,
-        )
-        tel = self._tel
-        if tel.enabled:
-            tel.record_query(stats, probe)
-            tel.record_progressive(stats, visited, n_planned, stopped)
+        result = walk.finish()
+        visited = walk.visited
+        if self._tel.enabled:
+            self._tel.record_progressive(
+                result.stats, visited, n_planned, stopped
+            )
+        dists = result.distances
         yield ProgressiveUpdate(
-            ids=ids,
+            ids=result.ids,
             distances=dists,
             k=k,
             partitions_visited=visited,
@@ -1667,8 +1428,8 @@ class ClimberIndex:
             stability=stable / visited if visited else 1.0,
             done=True,
             stopped_early=stopped,
-            partitions_forgone=forgone,
-            stats=stats,
+            partitions_forgone=result.stats.partitions_forgone,
+            stats=result.stats,
         )
 
     # -- observability surface ---------------------------------------------------------
@@ -1790,43 +1551,37 @@ class ClimberIndex:
         """
         arr = np.asarray(query, dtype=np.float64)
         run_progressive = progressive or early_stop is not None
+
+        def progressive_run(row: np.ndarray, probe: QueryProbe):
+            updates = list(self.knn_progressive(
+                row, k, variant, adaptive_factor,
+                on_partition_failure=on_partition_failure,
+                early_stop=early_stop, confidence=confidence, _probe=probe,
+            ))
+            final = updates[-1]
+            result = QueryResult(final.ids, final.distances, final.stats)
+            return (self._explain_entry(result, probe),
+                    self._explain_progressive(updates))
+
         if arr.ndim == 1:
             probe = QueryProbe()
             if run_progressive:
-                updates = list(self.knn_progressive(
-                    arr, k, variant, adaptive_factor,
-                    on_partition_failure=on_partition_failure,
-                    early_stop=early_stop, confidence=confidence,
-                    _probe=probe,
-                ))
-                final = updates[-1]
-                result = QueryResult(final.ids, final.distances, final.stats)
-                entry = self._explain_entry(result, probe)
-                entry["schema"] = OBS_SCHEMA
-                entry["mode"] = "knn_progressive"
-                entry["progressive"] = self._explain_progressive(updates)
-                return entry
-            result = self.knn(arr, k, variant, adaptive_factor,
-                              on_partition_failure=on_partition_failure,
-                              _probe=probe)
-            entry = self._explain_entry(result, probe)
+                entry, section = progressive_run(arr, probe)
+            else:
+                result = self.knn(arr, k, variant, adaptive_factor,
+                                  on_partition_failure=on_partition_failure,
+                                  _probe=probe)
+                entry, section = self._explain_entry(result, probe), None
             entry["schema"] = OBS_SCHEMA
-            entry["mode"] = "knn"
+            entry["mode"] = "knn_progressive" if run_progressive else "knn"
+            if section is not None:
+                entry["progressive"] = section
             return entry
         if run_progressive:
             entries = []
-            for i in range(arr.shape[0]):
-                probe = QueryProbe()
-                updates = list(self.knn_progressive(
-                    arr[i], k, variant, adaptive_factor,
-                    on_partition_failure=on_partition_failure,
-                    early_stop=early_stop, confidence=confidence,
-                    _probe=probe,
-                ))
-                final = updates[-1]
-                result = QueryResult(final.ids, final.distances, final.stats)
-                entry = self._explain_entry(result, probe)
-                entry["progressive"] = self._explain_progressive(updates)
+            for row in arr:
+                entry, section = progressive_run(row, QueryProbe())
+                entry["progressive"] = section
                 entries.append(entry)
             return {
                 "schema": OBS_SCHEMA,
@@ -1864,13 +1619,8 @@ class ClimberIndex:
         logical counters (+ cache occupancy), and the ``process`` global
         registry (cross-cutting counters like ``parallel.fallbacks``).
         """
-        dfs_counters = getattr(self.dfs, "counters", None)
-        dfs_section: dict[str, object] = {}
-        if dataclasses.is_dataclass(dfs_counters):
-            dfs_section = dataclasses.asdict(dfs_counters)
-        cache_used = getattr(self.dfs, "cache_used_bytes", None)
-        if cache_used is not None:
-            dfs_section["cache_used_bytes"] = cache_used
+        dfs_section = dataclasses.asdict(self.dfs.counters)
+        dfs_section["cache_used_bytes"] = self.dfs.cache_used_bytes
         return {
             "schema": OBS_SCHEMA,
             "telemetry_enabled": self._tel.enabled,

@@ -200,7 +200,8 @@ class ProgressiveCalibration:
         """The built-in conservative prior used before offline calibration.
 
         Models each further partition visit as improving the top-k with
-        probability 1/2 (a pessimistic prior for a promise-ordered plan):
+        probability 1/2 (a pessimistic prior for a plan visited in
+        partition-name order, which carries no promise ranking):
         after ``s`` stable visits the chance any improvement remains is
         ``0.5 ** s``, so ``threshold_for(c)`` resolves to the smallest
         ``s`` with ``1 - 0.5 ** s >= c`` (0.9 -> 4, 0.99 -> 7).  Offline
